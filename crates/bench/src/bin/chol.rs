@@ -173,6 +173,20 @@ fn main() {
         solver.analysis.supernodes.count(),
         t0.elapsed().as_secs_f64()
     );
+    if o.stats {
+        let t = &solver.timings;
+        eprintln!(
+            "phases: probe {:.3}s, order {:.3}s, etree {:.3}s, colcount {:.3}s, \
+             supernodes {:.3}s, partition {:.3}s (analyze {:.3}s)",
+            t.probe_s,
+            t.order_s,
+            t.etree_s,
+            t.colcount_s,
+            t.supernodes_s,
+            t.partition_s,
+            t.analyze_s()
+        );
+    }
     if o.stats || o.block_policy != BlockPolicy::Uniform {
         print_partition_shape(&solver);
     }

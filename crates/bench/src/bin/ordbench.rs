@@ -11,7 +11,11 @@
 //!   the best of the DW/IN/DN/ID Cartesian heuristics;
 //! * sequential vs subtree-parallel symbolic analysis wall clock at 4
 //!   workers (bit-identity is asserted on every sample);
-//! * the end-to-end residual of the ND-ordered factorization.
+//! * the end-to-end residual of the ND-ordered factorization;
+//! * where the ordering layer's own time goes: one probe plus one
+//!   dissection through a shared [`ordering::Orderer`], reported per phase
+//!   (compress / components / level graph / coarsen / bisect / FM / base /
+//!   probe) from the timers its workspace keeps.
 //!
 //! Writes `BENCH_order.json`. The run is self-gating (full scale; `--quick`
 //! records the scale-dependent gates in `skipped_gates` instead):
@@ -60,6 +64,7 @@ struct Row {
     probe_choice: ordering::ProbeChoice,
     probe_nd_est: f64,
     probe_md_est: f64,
+    phases: ordering::OrderPhases,
     seq_analyze_s: f64,
     par_analyze_s: f64,
     subtree_spans: usize,
@@ -127,9 +132,13 @@ fn run_structure(prob: &sparsemat::Problem, block_size: usize, p: usize, samples
     let a = &prob.matrix;
     let g = sparsemat::Graph::from_pattern(a.pattern());
 
-    // The Auto structure probe, on the pattern alone (what
-    // `Solver::analyze` with `OrderingChoice::Auto` consults).
-    let probe = ordering::probe_structure(&g);
+    // The Auto structure probe, on the pattern alone, and the dissection it
+    // would be followed by, sharing one graph, quotient and workspace —
+    // what `Solver::analyze` with `OrderingChoice::Auto` does.
+    let mut orderer = ordering::Orderer::new(&g);
+    let probe = orderer.probe();
+    let (nd_perm, tree) = orderer.nd_graph(&ordering::NdGraphOptions::default());
+    let phases = orderer.phases();
 
     // Minimum degree baseline with the paper's recommended ID/CY mapping.
     let md_opts = SolverOptions {
@@ -180,7 +189,6 @@ fn run_structure(prob: &sparsemat::Problem, block_size: usize, p: usize, samples
     // permutation, timed directly around the symbolic layer so the
     // comparison excludes ordering and partitioning. Every parallel sample
     // is checked bit-identical against the sequential result.
-    let (nd_perm, tree) = ordering::nd_graph(&g, &ordering::NdGraphOptions::default());
     let workers = 4usize;
     let ranges = tree.parallel_ranges(4 * workers);
     let amalg = md_opts.analyze.amalg;
@@ -228,6 +236,7 @@ fn run_structure(prob: &sparsemat::Problem, block_size: usize, p: usize, samples
         probe_choice: probe.choice,
         probe_nd_est: probe.nd_flops_est,
         probe_md_est: probe.md_flops_est,
+        phases,
         seq_analyze_s: median(seq_times),
         par_analyze_s: median(par_times),
         subtree_spans,
@@ -376,6 +385,23 @@ fn main() {
         ]);
     }
     println!("{table}");
+
+    let mut phases = TextTable::new(
+        "Ordering phases, ms: one Auto probe + one nd_graph on a shared Orderer",
+        &["problem", "compress", "components", "level graph", "coarsen", "bisect", "FM",
+          "base", "probe"],
+    );
+    for r in &rows {
+        let ph = &r.phases;
+        let mut cells = vec![r.problem.clone()];
+        cells.extend(
+            [ph.compress_s, ph.components_s, ph.level_graph_s, ph.coarsen_s, ph.bisect_s,
+             ph.fm_s, ph.base_s, ph.probe_s]
+            .map(|s| format!("{:.2}", s * 1e3)),
+        );
+        phases.row(cells);
+    }
+    println!("{phases}");
     if !enforce_speedup && !quick {
         env.skip_gate("analyze_speedup");
         eprintln!(
@@ -398,6 +424,9 @@ fn main() {
                 "\"nd_nnz_l\":{},\"nd_ops\":{},\"flops_ratio\":{:.4},",
                 "\"probe_choice\":{},\"probe_nd_est\":{},\"probe_md_est\":{},",
                 "\"probe_agrees\":{},",
+                "\"phases_s\":{{\"compress\":{:.4e},\"components\":{:.4e},",
+                "\"level_graph\":{:.4e},\"coarsen\":{:.4e},\"bisect\":{:.4e},",
+                "\"fm\":{:.4e},\"base\":{:.4e},\"probe\":{:.4e}}},",
                 "\"nd_pm_rows\":{},\"nd_pm_balance\":{:.6},\"nd_best_heur\":{},",
                 "\"nd_best_heur_balance\":{:.6},",
                 "\"seq_analyze_s\":{:.6e},\"par_analyze_s\":{:.6e},",
@@ -419,6 +448,14 @@ fn main() {
             json_f64(r.probe_nd_est),
             json_f64(r.probe_md_est),
             r.probe_agrees(),
+            r.phases.compress_s,
+            r.phases.components_s,
+            r.phases.level_graph_s,
+            r.phases.coarsen_s,
+            r.phases.bisect_s,
+            r.phases.fm_s,
+            r.phases.base_s,
+            r.phases.probe_s,
             json_str(r.nd_pm_rows),
             r.nd_pm_balance,
             json_str(r.nd_best_heur),

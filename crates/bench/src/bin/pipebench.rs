@@ -495,7 +495,7 @@ fn main() {
                 "{},\"workers\":{},",
                 "\"supernodes\":{},\"panels\":{},\"blocks\":{},",
                 "\"block_ops\":{},\"total_work\":{},\"stored_elements\":{},",
-                "\"order_s\":{:.6e},\"etree_s\":{:.6e},\"colcount_s\":{:.6e},",
+                "\"probe_s\":{:.6e},\"order_s\":{:.6e},\"etree_s\":{:.6e},\"colcount_s\":{:.6e},",
                 "\"supernodes_s\":{:.6e},\"partition_s\":{:.6e},\"assemble_s\":{:.6e},",
                 "\"factor_s\":{:.6e},\"solve_s\":{:.6e},\"phase_sum_s\":{:.6e},",
                 "\"total_s\":{:.6e},\"assemble_seq_s\":{:.6e},\"assemble_par_s\":{:.6e},",
@@ -517,6 +517,7 @@ fn main() {
             r.block_ops,
             r.total_work,
             r.stored,
+            t.probe_s,
             t.order_s,
             t.etree_s,
             t.colcount_s,

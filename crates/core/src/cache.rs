@@ -21,7 +21,7 @@
 //! structure twice. The probe itself is memoized per structure hash so
 //! repeated `Auto` lookups stay cheap.
 
-use crate::{OrderingChoice, Solver, SolverError, SolverOptions, SymbolicPlan};
+use crate::{OrderingChoice, Resolution, Solver, SolverError, SolverOptions, SymbolicPlan};
 use mapping::{ColPolicy, RowPolicy};
 use sparsemat::{Problem, SparsityPattern, SymCscMatrix};
 use std::collections::HashMap;
@@ -157,18 +157,20 @@ impl PlanCache {
     }
 
     /// Resolves `opts.ordering` for this pattern, memoizing `Auto` probe
-    /// results by structure hash.
-    fn resolve(&self, pattern: &SparsityPattern, opts: &SolverOptions) -> OrderingChoice {
+    /// results by structure hash. A fresh probe's graph and quotient ride
+    /// along in the [`Resolution`], so a plan miss orders on them instead of
+    /// rebuilding both.
+    fn resolve(&self, pattern: &SparsityPattern, opts: &SolverOptions) -> Resolution {
         if opts.ordering != OrderingChoice::Auto {
-            return opts.ordering;
+            return Resolution::known(opts.ordering);
         }
         let h = pattern.structure_hash();
         if let Some(c) = lock_ignore_poison(&self.resolved).get(h).copied() {
-            return c;
+            return Resolution::known(c);
         }
-        let c = crate::resolve_ordering(pattern, OrderingChoice::Auto);
-        lock_ignore_poison(&self.resolved).insert(h, c);
-        c
+        let r = Resolution::of(pattern, OrderingChoice::Auto);
+        lock_ignore_poison(&self.resolved).insert(h, r.choice);
+        r
     }
 
     /// The cache key: structure hash of the pattern, mixed with every
@@ -249,12 +251,12 @@ impl PlanCache {
     /// included) is a deterministic function of the pattern, so a cached
     /// plan is exactly what a fresh analysis would produce.
     pub fn solver_for(&self, a: &SymCscMatrix, opts: &SolverOptions) -> Solver {
-        let resolved = self.resolve(a.pattern(), opts);
-        let key = Self::key(a.pattern(), opts, 0, resolved);
+        let resolution = self.resolve(a.pattern(), opts);
+        let key = Self::key(a.pattern(), opts, 0, resolution.choice);
         if let Some(plan) = self.lookup(key) {
             return Solver::from_plan(plan, a);
         }
-        let s = Solver::analyze_resolved(a, opts, resolved, std::time::Instant::now());
+        let s = Solver::analyze_resolved(a, opts, resolution);
         self.store(key, s.plan.clone());
         s
     }
@@ -267,12 +269,12 @@ impl PlanCache {
         for b in p.name.as_bytes() {
             salt = mix(salt, u64::from(*b));
         }
-        let resolved = self.resolve(p.matrix.pattern(), opts);
-        let key = Self::key(p.matrix.pattern(), opts, salt, resolved);
+        let resolution = self.resolve(p.matrix.pattern(), opts);
+        let key = Self::key(p.matrix.pattern(), opts, salt, resolution.choice);
         if let Some(plan) = self.lookup(key) {
             return Solver::from_plan(plan, &p.matrix);
         }
-        let s = Solver::analyze_problem_resolved(p, opts, resolved, std::time::Instant::now());
+        let s = Solver::analyze_resolved(&p.matrix, opts, resolution);
         self.store(key, s.plan.clone());
         s
     }

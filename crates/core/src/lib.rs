@@ -280,7 +280,12 @@ impl Default for SolverOptions {
 /// which reuse the plan instead of re-running the front half.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Fill-reducing ordering.
+    /// Resolving [`OrderingChoice::Auto`]: adjacency-graph build plus the
+    /// structure probe. 0 for explicit choices (the graph build is then
+    /// part of `order_s`) and when a [`PlanCache`] remembered the
+    /// resolution.
+    pub probe_s: f64,
+    /// Fill-reducing ordering alone.
     pub order_s: f64,
     /// Permute + elimination tree + postorder.
     pub etree_s: f64,
@@ -308,6 +313,7 @@ impl PhaseTimings {
     /// The phases as consecutive [`PhaseSpan`]s on a clock starting at 0.
     pub fn spans(&self) -> Vec<PhaseSpan> {
         trace::phase_spans(&[
+            ("probe", self.probe_s),
             ("order", self.order_s),
             ("etree", self.etree_s),
             ("colcount", self.colcount_s),
@@ -321,9 +327,14 @@ impl PhaseTimings {
         ])
     }
 
-    /// Seconds of the analyze front half (order through partition).
+    /// Seconds of the analyze front half (probe through partition).
     pub fn analyze_s(&self) -> f64 {
-        self.order_s + self.etree_s + self.colcount_s + self.supernodes_s + self.partition_s
+        self.probe_s
+            + self.order_s
+            + self.etree_s
+            + self.colcount_s
+            + self.supernodes_s
+            + self.partition_s
     }
 
     /// Seconds of every phase combined.
@@ -371,15 +382,70 @@ pub fn resolve_ordering(
     pattern: &sparsemat::SparsityPattern,
     choice: OrderingChoice,
 ) -> OrderingChoice {
-    match choice {
-        OrderingChoice::Auto => {
-            let g = sparsemat::Graph::from_pattern(pattern);
-            match ordering::probe_structure(&g).choice {
-                ordering::ProbeChoice::NestedDissection => OrderingChoice::NestedDissection,
-                ordering::ProbeChoice::MinimumDegree => OrderingChoice::MinimumDegree,
-            }
+    Resolution::of(pattern, choice).choice
+}
+
+/// A resolved ordering choice together with what resolving it built. `Auto`
+/// needs the adjacency graph and its supervariable quotient for the probe;
+/// the ordering that follows needs the same two, so they travel with the
+/// resolution (inside the [`ordering::Orderer`]) instead of being dropped
+/// and rebuilt.
+pub(crate) struct Resolution {
+    /// Never `Auto`.
+    pub(crate) choice: OrderingChoice,
+    /// Seconds spent resolving (graph build + probe); 0 when nothing ran.
+    probe_s: f64,
+    orderer: Option<ordering::Orderer<'static>>,
+}
+
+impl Resolution {
+    /// Resolves `choice` for `pattern`, probing only when it is `Auto`.
+    pub(crate) fn of(pattern: &sparsemat::SparsityPattern, choice: OrderingChoice) -> Self {
+        if choice != OrderingChoice::Auto {
+            return Self::known(choice);
         }
-        explicit => explicit,
+        let t0 = std::time::Instant::now();
+        let mut orderer = ordering::Orderer::from_pattern(pattern);
+        let choice = match orderer.probe().choice {
+            ordering::ProbeChoice::NestedDissection => OrderingChoice::NestedDissection,
+            ordering::ProbeChoice::MinimumDegree => OrderingChoice::MinimumDegree,
+        };
+        Self { choice, probe_s: t0.elapsed().as_secs_f64(), orderer: Some(orderer) }
+    }
+
+    /// A resolution that needed no work: an explicit choice, or an `Auto`
+    /// answer remembered from an earlier probe of the same structure.
+    pub(crate) fn known(choice: OrderingChoice) -> Self {
+        debug_assert_ne!(choice, OrderingChoice::Auto);
+        Self { choice, probe_s: 0.0, orderer: None }
+    }
+
+    /// Runs the resolved ordering on `pattern`, reusing the probe's graph,
+    /// quotient and workspace when there was a probe. Returns the
+    /// permutation, the separator tree when dissection ran, and the seconds
+    /// this took.
+    fn order(
+        self,
+        pattern: &sparsemat::SparsityPattern,
+    ) -> (Permutation, Option<ordering::SeparatorTree>, f64) {
+        let t0 = std::time::Instant::now();
+        let orderer = || self.orderer.unwrap_or_else(|| ordering::Orderer::from_pattern(pattern));
+        let (perm, tree) = match self.choice {
+            OrderingChoice::Auto => unreachable!("Auto is resolved before dispatch"),
+            OrderingChoice::Natural => (Permutation::identity(pattern.n()), None),
+            OrderingChoice::MinimumDegree => (orderer().minimum_degree(), None),
+            // Always the multilevel graph dissection, even when a problem
+            // carries coordinates: it beats the geometric cut on every
+            // suite structure (1.7–3.9× fewer modeled flops), and it is the
+            // ordering the Auto probe's estimate models. The geometric code
+            // remains reachable through the `ordering` crate and
+            // [`Solver::analyze_problem_paper`].
+            OrderingChoice::NestedDissection => {
+                let (perm, tree) = orderer().nd_graph(&ordering::NdGraphOptions::default());
+                (perm, Some(tree))
+            }
+        };
+        (perm, tree, t0.elapsed().as_secs_f64())
     }
 }
 
@@ -392,43 +458,10 @@ impl Solver {
     /// tree, whose independent
     /// subtrees drive the subtree-parallel symbolic analysis
     /// ([`symbolic::analyze_parallel_timed`]) when more than one analyze
-    /// worker is configured.
+    /// worker is configured. Only the matrix is consulted: this is
+    /// [`Self::analyze`] on `p.matrix`.
     pub fn analyze_problem(p: &Problem, opts: &SolverOptions) -> Self {
-        let t0 = std::time::Instant::now();
-        let resolved = resolve_ordering(p.matrix.pattern(), opts.ordering);
-        Self::analyze_problem_resolved(p, opts, resolved, t0)
-    }
-
-    /// [`Self::analyze_problem`] with the `Auto` resolution already done
-    /// (the [`PlanCache`] miss path, which resolves once for its key).
-    pub(crate) fn analyze_problem_resolved(
-        p: &Problem,
-        opts: &SolverOptions,
-        resolved: OrderingChoice,
-        t0: std::time::Instant,
-    ) -> Self {
-        let (perm, tree) = match resolved {
-            OrderingChoice::Auto => unreachable!("Auto is resolved before dispatch"),
-            OrderingChoice::Natural => (Permutation::identity(p.n()), None),
-            OrderingChoice::MinimumDegree => {
-                let g = sparsemat::Graph::from_pattern(p.matrix.pattern());
-                (ordering::minimum_degree(&g), None)
-            }
-            OrderingChoice::NestedDissection => {
-                // Always the multilevel graph dissection, even when the
-                // problem carries coordinates: it beats the geometric cut
-                // on every suite structure (1.7–3.9× fewer modeled flops),
-                // and it is the ordering the Auto probe's estimate models.
-                // The geometric code remains reachable through the
-                // `ordering` crate and [`Self::analyze_problem_paper`].
-                let g = sparsemat::Graph::from_pattern(p.matrix.pattern());
-                let (perm, tree) =
-                    ordering::nd_graph(&g, &ordering::NdGraphOptions::default());
-                (perm, Some(tree))
-            }
-        };
-        let order_s = t0.elapsed().as_secs_f64();
-        Self::with_permutation_timed(&p.matrix, &perm, tree.as_ref(), opts, order_s, resolved)
+        Self::analyze(&p.matrix, opts)
     }
 
     /// Orders and analyzes a benchmark [`Problem`] with the *paper's*
@@ -450,7 +483,7 @@ impl Solver {
             sparsemat::gen::OrderingHint::NestedDissection => OrderingChoice::NestedDissection,
         };
         let order_s = t0.elapsed().as_secs_f64();
-        Self::with_permutation_timed(&p.matrix, &perm, tree.as_ref(), opts, order_s, resolved)
+        Self::with_permutation_timed(&p.matrix, &perm, tree.as_ref(), opts, 0.0, order_s, resolved)
     }
 
     /// Analyzes a raw matrix with [`OrderingChoice`] applied directly.
@@ -460,9 +493,7 @@ impl Solver {
     /// otherwise; `NestedDissection` uses the coordinate-free graph
     /// dissection ([`ordering::nd_graph`]).
     pub fn analyze(a: &SymCscMatrix, opts: &SolverOptions) -> Self {
-        let t0 = std::time::Instant::now();
-        let resolved = resolve_ordering(a.pattern(), opts.ordering);
-        Self::analyze_resolved(a, opts, resolved, t0)
+        Self::analyze_resolved(a, opts, Resolution::of(a.pattern(), opts.ordering))
     }
 
     /// [`Self::analyze`] with the `Auto` resolution already done (the
@@ -470,24 +501,11 @@ impl Solver {
     pub(crate) fn analyze_resolved(
         a: &SymCscMatrix,
         opts: &SolverOptions,
-        resolved: OrderingChoice,
-        t0: std::time::Instant,
+        resolution: Resolution,
     ) -> Self {
-        let (perm, tree) = match resolved {
-            OrderingChoice::Auto => unreachable!("Auto is resolved before dispatch"),
-            OrderingChoice::Natural => (Permutation::identity(a.n()), None),
-            OrderingChoice::NestedDissection => {
-                let g = sparsemat::Graph::from_pattern(a.pattern());
-                let (perm, tree) = ordering::nd_graph(&g, &ordering::NdGraphOptions::default());
-                (perm, Some(tree))
-            }
-            OrderingChoice::MinimumDegree => {
-                let g = sparsemat::Graph::from_pattern(a.pattern());
-                (ordering::minimum_degree(&g), None)
-            }
-        };
-        let order_s = t0.elapsed().as_secs_f64();
-        Self::with_permutation_timed(a, &perm, tree.as_ref(), opts, order_s, resolved)
+        let (resolved, probe_s) = (resolution.choice, resolution.probe_s);
+        let (perm, tree, order_s) = resolution.order(a.pattern());
+        Self::with_permutation_timed(a, &perm, tree.as_ref(), opts, probe_s, order_s, resolved)
     }
 
     /// Analyzes with a caller-provided fill-reducing permutation (ordering
@@ -500,7 +518,7 @@ impl Solver {
         fill_perm: &Permutation,
         opts: &SolverOptions,
     ) -> Self {
-        Self::with_permutation_timed(a, fill_perm, None, opts, 0.0, opts.ordering)
+        Self::with_permutation_timed(a, fill_perm, None, opts, 0.0, 0.0, opts.ordering)
     }
 
     fn with_permutation_timed(
@@ -508,6 +526,7 @@ impl Solver {
         fill_perm: &Permutation,
         tree: Option<&ordering::SeparatorTree>,
         opts: &SolverOptions,
+        probe_s: f64,
         order_s: f64,
         resolved: OrderingChoice,
     ) -> Self {
@@ -535,8 +554,8 @@ impl Solver {
             .into_iter()
             .map(|s| PhaseSpan {
                 name: s.name,
-                start_s: order_s + s.start_s,
-                end_s: order_s + s.end_s,
+                start_s: probe_s + order_s + s.start_s,
+                end_s: probe_s + order_s + s.end_s,
             })
             .collect();
         let permuted = analysis.perm.apply_to_matrix(a);
@@ -553,6 +572,7 @@ impl Solver {
         ));
         let work = BlockWork::compute(&bm, &opts.work_model);
         let timings = PhaseTimings {
+            probe_s,
             order_s,
             etree_s: sym_t.etree_s,
             colcount_s: sym_t.colcount_s,
@@ -1107,7 +1127,8 @@ mod tests {
             .plan
             .analyze_spans
             .iter()
-            .all(|s| s.start_s >= par_solver.timings.order_s - 1e-12));
+            .all(|s| s.start_s
+                >= par_solver.timings.probe_s + par_solver.timings.order_s - 1e-12));
         // The spans surface on the factor report's pipeline track.
         let asg = par_solver.assign_default(4);
         let (_, _, rep) = par_solver
@@ -1117,6 +1138,67 @@ mod tests {
             .pipeline
             .iter()
             .any(|s| s.name.contains("subtree")));
+    }
+
+    /// `(graphs built, compressions run)` on this thread while `f` runs.
+    fn ordering_work(f: impl FnOnce()) -> (u64, u64) {
+        let before = (
+            sparsemat::Graph::builds_on_this_thread(),
+            ordering::compressions_on_this_thread(),
+        );
+        f();
+        (
+            sparsemat::Graph::builds_on_this_thread() - before.0,
+            ordering::compressions_on_this_thread() - before.1,
+        )
+    }
+
+    #[test]
+    fn auto_analysis_builds_one_graph_and_one_compression() {
+        // Large enough that the probe runs its bisection (n >= 192), on a
+        // structure it resolves to dissection (which needs the quotient
+        // again) and on one it resolves to minimum degree.
+        for p in [sparsemat::gen::cube3d(8), sparsemat::gen::bcsstk_like("A", 400, 7)] {
+            let o = base_seq(&opts(8));
+            assert_eq!(o.ordering, OrderingChoice::Auto);
+            let mut solver = None;
+            let work = ordering_work(|| solver = Some(Solver::analyze(&p.matrix, &o)));
+            assert_eq!(work, (1, 1), "{}: Solver::analyze", p.name);
+            let t = solver.take().unwrap().timings;
+            assert!(t.probe_s > 0.0 && t.order_s > 0.0);
+
+            // The cache miss path resolves first and analyzes second; the
+            // probe's graph and quotient must survive the hand-over.
+            let cache = PlanCache::new();
+            let work = ordering_work(|| solver = Some(cache.solver_for(&p.matrix, &o)));
+            assert_eq!(work, (1, 1), "{}: PlanCache miss", p.name);
+            let t = solver.unwrap().timings;
+            assert!(t.probe_s > 0.0 && t.order_s > 0.0);
+            // A hit does no ordering work at all.
+            assert_eq!(ordering_work(|| drop(cache.solver_for(&p.matrix, &o))), (0, 0));
+        }
+    }
+
+    #[test]
+    fn explicit_choices_skip_the_probe_and_phases_sum_to_analyze() {
+        let p = sparsemat::gen::grid2d(16);
+        for (choice, want) in [
+            (OrderingChoice::NestedDissection, (1, 1)),
+            (OrderingChoice::MinimumDegree, (1, 0)),
+            (OrderingChoice::Natural, (0, 0)),
+        ] {
+            let o = SolverOptions { ordering: choice, ..base_seq(&opts(4)) };
+            let mut solver = None;
+            let work = ordering_work(|| solver = Some(Solver::analyze(&p.matrix, &o)));
+            assert_eq!(work, want, "{choice:?}");
+            let t = solver.unwrap().timings;
+            assert_eq!(t.probe_s, 0.0, "{choice:?}: no probe ran");
+            let spans = t.spans();
+            assert_eq!(spans[0].name, "probe");
+            assert_eq!(spans[1].name, "order");
+            let analyze_end = spans[5].end_s;
+            assert!((analyze_end - t.analyze_s()).abs() < 1e-12);
+        }
     }
 
     fn base_seq(o: &SolverOptions) -> SolverOptions {

@@ -57,6 +57,12 @@ impl Default for FmOptions {
 /// Entries are lazily invalidated — a vertex is pushed again whenever its
 /// gain changes, and stale entries are discarded on pop by checking the
 /// recorded current gain.
+///
+/// The stacks outlive a call (see [`FmScratch`]): a pass pops until every
+/// stack is empty, so between passes — and between calls — all of them are
+/// empty and only `off`/`top` need resetting. `gain[v]` is only ever read for
+/// a vertex pushed earlier in the same pass, so it is never cleared.
+#[derive(Debug, Default)]
 struct Buckets {
     lists: Vec<Vec<u32>>,
     off: isize,
@@ -65,19 +71,16 @@ struct Buckets {
 }
 
 impl Buckets {
-    fn new(n: usize, max_gain: isize) -> Self {
-        Buckets {
-            lists: vec![Vec::new(); (2 * max_gain + 1) as usize],
-            off: max_gain,
-            top: -1,
-            gain: vec![0; n],
+    fn reset(&mut self, n: usize, max_gain: isize) {
+        debug_assert!(self.lists.iter().all(Vec::is_empty), "a finished pass drains every bucket");
+        let want = (2 * max_gain + 1) as usize;
+        if self.lists.len() < want {
+            self.lists.resize_with(want, Vec::new);
         }
-    }
-
-    fn clear(&mut self) {
-        for l in &mut self.lists {
-            l.clear();
+        if self.gain.len() < n {
+            self.gain.resize(n, 0);
         }
+        self.off = max_gain;
         self.top = -1;
     }
 
@@ -110,22 +113,64 @@ impl Buckets {
     }
 }
 
+#[derive(Debug)]
 struct Move {
     v: u32,
     pulled: (u32, u32), // range into the shared pulled buffer
 }
 
+/// Everything [`refine_with`] would otherwise allocate per call: the gain
+/// buckets (up to 8 193 stacks on heavily coarsened levels), the per-vertex
+/// lock stamps, the move log, the pulled-vertex buffer and the separator
+/// list.
+///
+/// Between calls: every bucket stack is empty, and every lock stamp is at
+/// most `epoch` — each pass takes a fresh epoch, so stamps left behind by
+/// earlier passes and calls never read as "locked in this pass".
+#[derive(Debug, Default)]
+pub(crate) struct FmScratch {
+    buckets: Buckets,
+    locked: Vec<u32>,
+    epoch: u32,
+    moves: Vec<Move>,
+    pulled: Vec<u32>,
+    /// The current separator, ascending.
+    sep: Vec<u32>,
+}
+
+impl FmScratch {
+    /// Checks the between-calls invariants (debug builds).
+    pub(crate) fn debug_check(&self) {
+        debug_assert!(self.buckets.lists.iter().all(Vec::is_empty));
+        debug_assert!(self.locked.iter().all(|&l| l <= self.epoch));
+    }
+}
+
 /// Refines the partition `label` (values [`LOW`]/[`HIGH`]/[`SEP`]) in place.
 /// Requires and preserves: no LOW vertex adjacent to a HIGH vertex.
 pub fn refine(g: &LevelGraph, label: &mut [u8], opts: &FmOptions) {
+    refine_with(g, label, opts, &mut FmScratch::default());
+}
+
+/// [`refine`] on reusable scratch.
+pub(crate) fn refine_with(g: &LevelGraph, label: &mut [u8], opts: &FmOptions, s: &mut FmScratch) {
     let n = g.n();
     debug_assert_eq!(label.len(), n);
     if n == 0 || opts.passes == 0 {
         return;
     }
+    let FmScratch { buckets, locked, epoch, moves, pulled: pulled_buf, sep } = s;
+    // One sweep for the side weights, the heaviest vertex and the separator
+    // (ascending); passes then walk the separator, not the graph.
     let mut w = [0usize; 3];
-    for (v, &l) in label.iter().enumerate() {
-        w[l as usize] += g.vwt[v];
+    let mut max_vwt = 0u32;
+    sep.clear();
+    for (v, (&l, &wv)) in label.iter().zip(&g.vwt).enumerate() {
+        w[l as usize] += wv as usize;
+        max_vwt = max_vwt.max(wv);
+        if l == SEP {
+            sep.push(v as u32);
+        }
     }
     let total = w[0] + w[1] + w[2];
     if total == 0 || w[2] == 0 {
@@ -134,18 +179,22 @@ pub fn refine(g: &LevelGraph, label: &mut [u8], opts: &FmOptions) {
     let max_side =
         (((total as f64) * opts.max_side).ceil() as usize).clamp(total / 2, total - 1);
 
-    let max_gain = g.vwt.iter().copied().max().unwrap_or(1).clamp(8, 4096) as isize;
-    let mut buckets = Buckets::new(n, max_gain);
-    let mut locked = vec![u32::MAX; n];
-    let mut moves: Vec<Move> = Vec::new();
-    let mut pulled_buf: Vec<u32> = Vec::new();
+    let max_gain = max_vwt.clamp(8, 4096) as isize;
+    buckets.reset(n, max_gain);
+    if locked.len() < n {
+        locked.resize(n, 0);
+    }
+    if (u32::MAX - *epoch) as usize <= opts.passes {
+        locked.fill(0);
+        *epoch = 0;
+    }
     let mut dry = 0usize;
 
     for pass in 0..opts.passes {
         let to = (pass % 2) as u8;
         let other = 1 - to;
-        let epoch = pass as u32;
-        buckets.clear();
+        *epoch += 1;
+        let epoch = *epoch;
         moves.clear();
         pulled_buf.clear();
 
@@ -158,10 +207,8 @@ pub fn refine(g: &LevelGraph, label: &mut [u8], opts: &FmOptions) {
             }
             gain
         };
-        for v in 0..n {
-            if label[v] == SEP {
-                buckets.push(v as u32, gain_of(g, label, v));
-            }
+        for &v in sep.iter() {
+            buckets.push(v, gain_of(g, label, v as usize));
         }
 
         // (separator weight, heavier side) — lexicographically minimized.
@@ -173,14 +220,15 @@ pub fn refine(g: &LevelGraph, label: &mut [u8], opts: &FmOptions) {
             buckets.pop(|v| label[v as usize] == SEP && locked[v as usize] != epoch)
         {
             let vu = v as usize;
-            if w[to as usize] + g.vwt[vu] > max_side {
+            let wv = g.vwt[vu] as usize;
+            if w[to as usize] + wv > max_side {
                 locked[vu] = epoch; // sides only grow within a pass
                 continue;
             }
             label[vu] = to;
             locked[vu] = epoch;
-            w[2] -= g.vwt[vu];
-            w[to as usize] += g.vwt[vu];
+            w[2] -= wv;
+            w[to as usize] += wv;
             let pull_start = pulled_buf.len() as u32;
             for &u in g.neighbors(vu) {
                 if label[u as usize] == other {
@@ -205,8 +253,8 @@ pub fn refine(g: &LevelGraph, label: &mut [u8], opts: &FmOptions) {
             for &pu in &pulled_buf[pull_start as usize..] {
                 let u = pu as usize;
                 label[u] = SEP;
-                w[other as usize] -= g.vwt[u];
-                w[2] += g.vwt[u];
+                w[other as usize] -= g.vwt[u] as usize;
+                w[2] += g.vwt[u] as usize;
             }
             for &pu in &pulled_buf[pull_start as usize..] {
                 let u = pu as usize;
@@ -227,14 +275,22 @@ pub fn refine(g: &LevelGraph, label: &mut [u8], opts: &FmOptions) {
             for k in (m.pulled.0..m.pulled.1).rev() {
                 let u = pulled_buf[k as usize] as usize;
                 label[u] = other;
-                w[2] -= g.vwt[u];
-                w[other as usize] += g.vwt[u];
+                w[2] -= g.vwt[u] as usize;
+                w[other as usize] += g.vwt[u] as usize;
             }
             label[m.v as usize] = SEP;
-            w[to as usize] -= g.vwt[m.v as usize];
-            w[2] += g.vwt[m.v as usize];
+            w[to as usize] -= g.vwt[m.v as usize] as usize;
+            w[2] += g.vwt[m.v as usize] as usize;
         }
         debug_assert_eq!((w[2], w[0].max(w[1])), best_score);
+        // The separator after the kept moves: what stayed, plus what they
+        // pulled in (a prefix of the pulled buffer), ascending again.
+        if best_len > 0 {
+            sep.extend_from_slice(&pulled_buf[..moves[best_len - 1].pulled.1 as usize]);
+            sep.retain(|&v| label[v as usize] == SEP);
+            sep.sort_unstable();
+        }
+        debug_assert!(sep.iter().copied().eq((0..n as u32).filter(|&v| label[v as usize] == SEP)));
 
         dry = if best_score < start_score { 0 } else { dry + 1 };
         if dry >= 2 || w[2] == 0 {
@@ -260,11 +316,11 @@ mod tests {
         let p = SparsityPattern::from_coords(n, edges.to_vec()).unwrap();
         let g = Graph::from_pattern(&p);
         let region: Vec<u32> = (0..n as u32).collect();
-        LevelGraph::from_region(&g, &region, &|_| 1)
+        LevelGraph::from_region(&g, &region, |_| 1)
     }
 
     fn sep_weight(g: &LevelGraph, label: &[u8]) -> usize {
-        (0..g.n()).filter(|&v| label[v] == SEP).map(|v| g.vwt[v]).sum()
+        (0..g.n()).filter(|&v| label[v] == SEP).map(|v| g.vwt[v] as usize).sum()
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //!   ordering choice deterministically from the pattern: a trial bisection
 //!   (separator weight, balance, growth exponent) scored against an exact
 //!   minimum-degree fill sample.
+//! * [`Orderer`] — one matrix's adjacency graph, its supervariable quotient
+//!   and the scratch workspace all of the above run in. The free functions
+//!   are thin wrappers over a fresh one; an analysis that probes and then
+//!   orders builds one and asks it for both, so the graph and the
+//!   compression are built once and the recursion allocates nothing.
 //! * [`order_problem`] / [`order_problem_with_tree`] — applies the ordering
 //!   the paper uses for a given benchmark problem; the `_with_tree` variant
 //!   also returns the [`SeparatorTree`] when dissection ran, which drives
@@ -38,12 +43,14 @@ pub mod nd_graph;
 pub mod probe;
 pub mod reference;
 pub mod septree;
+mod workspace;
 
 pub use mindeg::minimum_degree;
 pub use nd::{nested_dissection, nested_dissection_with_tree, BaseOrdering, NdOptions};
 pub use nd_graph::{nd_graph, NdGraphOptions, RefineKind};
 pub use probe::{probe_structure, ProbeChoice, ProbeReport};
 pub use septree::SeparatorTree;
+pub use workspace::{compressions_on_this_thread, OrderPhases, Orderer};
 
 use sparsemat::gen::OrderingHint;
 use sparsemat::{Graph, Permutation, Problem};

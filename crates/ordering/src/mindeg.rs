@@ -15,7 +15,18 @@ use sparsemat::{Graph, Permutation};
 /// Returns the permutation `P` such that `P·A·Pᵀ` is ordered for low fill;
 /// old vertex `order[k]` is eliminated `k`-th.
 pub fn minimum_degree(g: &Graph) -> Permutation {
-    Mindeg::new(g).run()
+    minimum_degree_with(g, &mut MindegScratch::default())
+}
+
+/// [`minimum_degree`] on reusable scratch.
+pub(crate) fn minimum_degree_with(g: &Graph, s: &mut MindegScratch) -> Permutation {
+    s.begin(g.n());
+    for v in 0..g.n() {
+        s.set_neighbors(v, g.neighbors(v).iter().copied());
+    }
+    s.run();
+    Permutation::from_old_of_new(std::mem::take(&mut s.order))
+        .expect("elimination order is a permutation")
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,30 +36,40 @@ enum State {
     Eliminated,
 }
 
+const NONE: u32 = u32::MAX;
+
 /// Intrusive doubly-linked degree buckets with a moving minimum pointer.
+/// The arrays may be longer than the current graph; `buckets` is the logical
+/// bucket count (`n.max(1)`), which also clamps degrees.
+#[derive(Default)]
 struct DegreeLists {
     head: Vec<i32>,
     next: Vec<i32>,
     prev: Vec<i32>,
     /// Degree bucket each vertex currently sits in, or -1.
     bucket: Vec<i32>,
+    buckets: usize,
     min_deg: usize,
 }
 
 impl DegreeLists {
-    fn new(n: usize) -> Self {
-        Self {
-            head: vec![-1; n.max(1)],
-            next: vec![-1; n],
-            prev: vec![-1; n],
-            bucket: vec![-1; n],
-            min_deg: 0,
+    fn reset(&mut self, n: usize) {
+        self.buckets = n.max(1);
+        for (a, len) in [
+            (&mut self.head, self.buckets),
+            (&mut self.next, n),
+            (&mut self.prev, n),
+            (&mut self.bucket, n),
+        ] {
+            a.clear();
+            a.resize(len, -1);
         }
+        self.min_deg = 0;
     }
 
     fn insert(&mut self, v: usize, d: usize) {
         debug_assert_eq!(self.bucket[v], -1);
-        let d = d.min(self.head.len() - 1);
+        let d = d.min(self.buckets - 1);
         let h = self.head[d];
         self.next[v] = h;
         self.prev[v] = -1;
@@ -86,7 +107,7 @@ impl DegreeLists {
 
     /// Pops a vertex from the exact degree bucket `d`, if any.
     fn pop_at(&mut self, d: usize) -> Option<usize> {
-        let h = self.head[d.min(self.head.len() - 1)];
+        let h = self.head[d.min(self.buckets - 1)];
         if h >= 0 {
             let v = h as usize;
             self.remove(v);
@@ -98,7 +119,7 @@ impl DegreeLists {
 
     /// Smallest non-empty degree, advancing the cursor.
     fn min_nonempty(&mut self) -> Option<usize> {
-        while self.min_deg < self.head.len() {
+        while self.min_deg < self.buckets {
             if self.head[self.min_deg] >= 0 {
                 return Some(self.min_deg);
             }
@@ -108,8 +129,18 @@ impl DegreeLists {
     }
 }
 
-struct Mindeg<'g> {
-    g: &'g Graph,
+/// The quotient-graph state of one minimum-degree run, kept between runs so
+/// that ordering thousands of dissection leaves allocates nothing: every
+/// array (and every inner list's capacity) is reused, and
+/// [`MindegScratch::begin`] re-initializes exactly the first `n` slots — cost
+/// proportional to the graph being ordered, never to the largest one seen.
+///
+/// Use: [`begin`](Self::begin), [`set_neighbors`](Self::set_neighbors) for
+/// every vertex, [`run`](Self::run); the elimination order is left in
+/// `order`.
+#[derive(Default)]
+pub(crate) struct MindegScratch {
+    n: usize,
     /// Adjacent supervariables (pruned lazily; may hold merged ids).
     var_adj: Vec<Vec<u32>>,
     /// Adjacent elements.
@@ -122,39 +153,74 @@ struct Mindeg<'g> {
     merge_parent: Vec<u32>,
     /// Number of original vertices inside each supervariable.
     weight: Vec<u32>,
-    /// Original vertices inside each supervariable, in merge order.
-    members: Vec<Vec<u32>>,
+    /// Original vertices inside each supervariable, in merge order, as a
+    /// linked list starting at the representative itself.
+    mem_next: Vec<u32>,
+    mem_tail: Vec<u32>,
     lists: DegreeLists,
     /// `in_lp[v] == step` iff `v` is in the current pivot's boundary.
     in_lp: Vec<u32>,
     /// Transient set-membership marks.
     mark: Vec<u32>,
     mark_ctr: u32,
-    order: Vec<u32>,
+    /// `round_touch[v] == round` marks `v` as a boundary member of some
+    /// pivot eliminated this round: its degree (and lists) are stale, so it
+    /// is not eligible for multiple elimination until the round's update.
+    round_touch: Vec<u32>,
+    touched: Vec<u32>,
+    stashed: Vec<(u32, u32)>,
+    /// Boundary of the latest pivot.
+    lp: Vec<u32>,
+    keyed: Vec<(u64, u32)>,
+    /// Elimination order of the latest run (local vertex ids).
+    pub(crate) order: Vec<u32>,
 }
 
-impl<'g> Mindeg<'g> {
-    fn new(g: &'g Graph) -> Self {
-        let n = g.n();
-        let mut lists = DegreeLists::new(n);
-        for v in 0..n {
-            lists.insert(v, g.degree(v));
-        }
-        Self {
-            g,
-            var_adj: (0..n).map(|v| g.neighbors(v).to_vec()).collect(),
-            var_elems: vec![Vec::new(); n],
-            elem_vars: vec![Vec::new(); n],
-            elem_absorbed: vec![false; n],
-            state: vec![State::Alive; n],
-            merge_parent: (0..n as u32).collect(),
-            weight: vec![1; n],
-            members: (0..n as u32).map(|v| vec![v]).collect(),
-            lists,
-            in_lp: vec![u32::MAX; n],
-            mark: vec![0; n],
-            mark_ctr: 0,
-            order: Vec::with_capacity(n),
+fn reset<T: Clone>(a: &mut Vec<T>, n: usize, value: T) {
+    a.clear();
+    a.resize(n, value);
+}
+
+fn reset_lists(a: &mut Vec<Vec<u32>>, n: usize) {
+    if a.len() < n {
+        a.resize_with(n, Vec::new);
+    }
+    for l in &mut a[..n] {
+        l.clear();
+    }
+}
+
+impl MindegScratch {
+    /// Prepares the state for a graph of `n` vertices with no edges yet.
+    pub(crate) fn begin(&mut self, n: usize) {
+        self.n = n;
+        reset_lists(&mut self.var_adj, n);
+        reset_lists(&mut self.var_elems, n);
+        reset_lists(&mut self.elem_vars, n);
+        reset(&mut self.elem_absorbed, n, false);
+        reset(&mut self.state, n, State::Alive);
+        self.merge_parent.clear();
+        self.merge_parent.extend(0..n as u32);
+        reset(&mut self.weight, n, 1);
+        reset(&mut self.mem_next, n, NONE);
+        self.mem_tail.clear();
+        self.mem_tail.extend(0..n as u32);
+        self.lists.reset(n);
+        reset(&mut self.in_lp, n, u32::MAX);
+        reset(&mut self.mark, n, 0);
+        self.mark_ctr = 0;
+        reset(&mut self.round_touch, n, 0);
+        self.order.clear();
+        self.order.reserve(n);
+    }
+
+    /// Sets vertex `v`'s neighbor list (distinct, no self loop); it is kept
+    /// ascending, the order [`Graph`] adjacency has.
+    pub(crate) fn set_neighbors(&mut self, v: usize, neighbors: impl Iterator<Item = u32>) {
+        let adj = &mut self.var_adj[v];
+        adj.extend(neighbors);
+        if !adj.is_sorted() {
+            adj.sort_unstable();
         }
     }
 
@@ -185,110 +251,125 @@ impl<'g> Mindeg<'g> {
         self.mark_ctr
     }
 
-    fn run(mut self) -> Permutation {
-        let n = self.g.n();
+    /// Runs the elimination; the order is left in `self.order`.
+    pub(crate) fn run(&mut self) {
+        let n = self.n;
+        // Ascending insertion: each degree list is LIFO, so among equal
+        // degrees the highest-numbered vertex is eliminated first.
+        for v in 0..n {
+            self.lists.insert(v, self.var_adj[v].len());
+        }
         let mut step = 0u32;
-        // round_touch[v] == round marks v as a boundary member of some pivot
-        // eliminated this round: its degree (and lists) are stale, so it is
-        // not eligible for multiple elimination until the round's update.
-        let mut round_touch = vec![0u32; n];
         let mut round = 0u32;
-        let mut touched: Vec<u32> = Vec::new();
-        let mut stashed: Vec<(usize, usize)> = Vec::new();
         while self.order.len() < n {
             round += 1;
             let d = self.lists.min_nonempty().expect("live vertex remains");
-            touched.clear();
-            stashed.clear();
+            self.touched.clear();
+            self.stashed.clear();
             // Multiple elimination: drain the minimum bucket, eliminating
             // every pivot not touched by this round's earlier pivots.
             while let Some(p) = self.lists.pop_at(d) {
                 debug_assert!(self.alive(p));
-                if round_touch[p] == round {
-                    stashed.push((p, d));
+                if self.round_touch[p] == round {
+                    self.stashed.push((p as u32, d as u32));
                     continue;
                 }
                 step += 1;
-                let lp = self.eliminate(p, step);
-                for &v in &lp {
-                    if round_touch[v as usize] != round {
-                        round_touch[v as usize] = round;
-                        touched.push(v);
+                self.eliminate(p, step);
+                for &v in &self.lp {
+                    if self.round_touch[v as usize] != round {
+                        self.round_touch[v as usize] = round;
+                        self.touched.push(v);
                     }
                 }
             }
             // Stashed vertices may have merged into a neighbor during the
             // round's supervariable detection; only re-insert survivors.
-            for &(v, d) in &stashed {
-                if self.alive(v) {
-                    self.lists.insert(v, d); // degree refreshed below
+            for k in 0..self.stashed.len() {
+                let (v, d) = self.stashed[k];
+                if self.alive(v as usize) {
+                    self.lists.insert(v as usize, d as usize); // degree refreshed below
                 }
             }
             // One shared degree-update pass for the whole round.
-            for &t in &touched {
-                let v = t as usize;
+            for k in 0..self.touched.len() {
+                let v = self.touched[k] as usize;
                 if self.alive(v) {
                     let deg = self.external_degree(v);
                     self.lists.update(v, deg);
                 }
             }
         }
-        Permutation::from_old_of_new(self.order).expect("elimination order is a permutation")
     }
 
-    /// Eliminates pivot `p`, returning its boundary `Lp`. Degrees of the
-    /// boundary are *not* recomputed here — the caller batches updates per
-    /// multiple-elimination round.
-    fn eliminate(&mut self, p: usize, step: u32) -> Vec<u32> {
+    /// Appends `w`'s live representative to the boundary under construction
+    /// unless it is dead or already there.
+    #[inline]
+    fn reach(&mut self, w: u32, step: u32, lp: &mut Vec<u32>) {
+        let r = self.resolve(w) as usize;
+        if self.alive(r) && self.in_lp[r] != step {
+            self.in_lp[r] = step;
+            lp.push(r as u32);
+        }
+    }
+
+    /// Eliminates pivot `p`, leaving its boundary `Lp` in `self.lp`. Degrees
+    /// of the boundary are *not* recomputed here — the caller batches updates
+    /// per multiple-elimination round.
+    fn eliminate(&mut self, p: usize, step: u32) {
         // --- Gather the boundary Lp of the new element. ---
         self.in_lp[p] = step;
-        let mut lp: Vec<u32> = Vec::new();
-        let adj_p = std::mem::take(&mut self.var_adj[p]);
+        let mut lp = std::mem::take(&mut self.lp);
+        lp.clear();
+        let mut adj_p = std::mem::take(&mut self.var_adj[p]);
         for &w in &adj_p {
-            let r = self.resolve(w) as usize;
-            if self.alive(r) && self.in_lp[r] != step {
-                self.in_lp[r] = step;
-                lp.push(r as u32);
-            }
+            self.reach(w, step, &mut lp);
         }
-        let elems_p = std::mem::take(&mut self.var_elems[p]);
+        adj_p.clear();
+        self.var_adj[p] = adj_p;
+        let mut elems_p = std::mem::take(&mut self.var_elems[p]);
         for &e in &elems_p {
             let e = e as usize;
             if self.elem_absorbed[e] {
                 continue;
             }
-            let boundary = std::mem::take(&mut self.elem_vars[e]);
+            let mut boundary = std::mem::take(&mut self.elem_vars[e]);
             for &w in &boundary {
-                let r = self.resolve(w) as usize;
-                if self.alive(r) && self.in_lp[r] != step {
-                    self.in_lp[r] = step;
-                    lp.push(r as u32);
-                }
+                self.reach(w, step, &mut lp);
             }
+            boundary.clear();
+            self.elem_vars[e] = boundary;
             self.elem_absorbed[e] = true; // absorbed into element p
         }
+        elems_p.clear();
+        self.var_elems[p] = elems_p;
 
         // --- Retire the pivot. ---
         self.state[p] = State::Eliminated;
-        let mems = std::mem::take(&mut self.members[p]);
-        self.order.extend(mems);
-        self.elem_vars[p] = lp.clone();
+        let mut m = p as u32;
+        while m != NONE {
+            self.order.push(m);
+            m = self.mem_next[m as usize];
+        }
+        self.elem_vars[p].extend_from_slice(&lp);
 
         // --- Prune each boundary variable's lists and attach element p. ---
         for &v in &lp {
             let v = v as usize;
-            let adj = std::mem::take(&mut self.var_adj[v]);
+            let mut adj = std::mem::take(&mut self.var_adj[v]);
             let ctr = self.next_mark();
-            let mut new_adj = Vec::with_capacity(adj.len());
-            for &w in &adj {
-                let r = self.resolve(w) as usize;
+            let mut kept = 0;
+            for i in 0..adj.len() {
+                let r = self.resolve(adj[i]) as usize;
                 // Keep only live vars outside Lp (element p covers Lp), once.
                 if self.alive(r) && self.in_lp[r] != step && self.mark[r] != ctr {
                     self.mark[r] = ctr;
-                    new_adj.push(r as u32);
+                    adj[kept] = r as u32;
+                    kept += 1;
                 }
             }
-            self.var_adj[v] = new_adj;
+            adj.truncate(kept);
+            self.var_adj[v] = adj;
             let absorbed = &self.elem_absorbed;
             self.var_elems[v].retain(|&e| !absorbed[e as usize]);
             self.var_elems[v].push(p as u32);
@@ -297,7 +378,8 @@ impl<'g> Mindeg<'g> {
         // --- Indistinguishable supervariable detection within Lp. ---
         // Two boundary variables with identical pruned (adj, elems) lists are
         // indistinguishable and merge into one supervariable.
-        let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(lp.len());
+        let mut keyed = std::mem::take(&mut self.keyed);
+        keyed.clear();
         for &v in &lp {
             let v = v as usize;
             self.var_adj[v].sort_unstable();
@@ -339,8 +421,8 @@ impl<'g> Mindeg<'g> {
             }
             i = j;
         }
-
-        lp
+        self.keyed = keyed;
+        self.lp = lp;
     }
 
     /// Merges supervariable `w` into `v` (both alive, indistinguishable).
@@ -349,8 +431,8 @@ impl<'g> Mindeg<'g> {
         self.state[w] = State::Merged;
         self.merge_parent[w] = v as u32;
         self.weight[v] += self.weight[w];
-        let mems = std::mem::take(&mut self.members[w]);
-        self.members[v].extend(mems);
+        self.mem_next[self.mem_tail[v] as usize] = w as u32;
+        self.mem_tail[v] = self.mem_tail[w];
         self.var_adj[w].clear();
         self.var_elems[w].clear();
         self.lists.remove(w);

@@ -10,8 +10,9 @@
 //! Like the coordinate-free [`crate::nd_graph`], the recursion is recorded
 //! as a [`SeparatorTree`] (see [`nested_dissection_with_tree`]).
 
-use crate::minimum_degree;
+use crate::mindeg::MindegScratch;
 use crate::septree::{SeparatorTree, NONE};
+use crate::workspace::with_index_map;
 use sparsemat::{Graph, Permutation};
 
 /// How to order base-case regions.
@@ -62,6 +63,8 @@ pub fn nested_dissection_with_tree(
         side: vec![0; g.n()],
         member: vec![0; g.n()],
         ctr: 0,
+        local: vec![u32::MAX; g.n()],
+        md: MindegScratch::default(),
         parent: Vec::new(),
         col_start: Vec::new(),
         col_end: Vec::new(),
@@ -84,8 +87,9 @@ pub fn nested_dissection_with_tree(
 }
 
 /// Recursion state: `side` holds low/high labels for the active region,
-/// `member[v] == ctr` marks membership in the active region; the four tree
-/// vectors grow one slot per finished node (postorder, roots last).
+/// `member[v] == ctr` marks membership in the active region; `local`/`md` are
+/// the base-case scratch ([`order_base`]); the four tree vectors grow one
+/// slot per finished node (postorder, roots last).
 struct Dissector<'a> {
     g: &'a Graph,
     coords: &'a [[f32; 3]],
@@ -94,6 +98,8 @@ struct Dissector<'a> {
     side: Vec<u8>,
     member: Vec<u32>,
     ctr: u32,
+    local: Vec<u32>,
+    md: MindegScratch,
     parent: Vec<u32>,
     col_start: Vec<u32>,
     col_end: Vec<u32>,
@@ -115,7 +121,7 @@ impl Dissector<'_> {
 
     fn leaf(&mut self, region: &[u32]) -> u32 {
         let start = self.order.len() as u32;
-        order_base(self.g, self.opts.base, region, &mut self.order);
+        order_base(self.g, self.opts.base, region, &mut self.order, &mut self.local, &mut self.md);
         self.push_node(&[], start, start)
     }
 
@@ -198,39 +204,31 @@ impl Dissector<'_> {
 }
 
 /// Orders a base-case region (shared with [`crate::nd_graph`]): natural
-/// order, or minimum degree on the extracted region subgraph.
-pub(crate) fn order_base(g: &Graph, base: BaseOrdering, region: &[u32], order: &mut Vec<u32>) {
-    match base {
-        BaseOrdering::Natural => order.extend_from_slice(region),
-        BaseOrdering::MinimumDegree => {
-            if region.len() <= 2 {
-                order.extend_from_slice(region);
-                return;
-            }
-            // Extract the region subgraph and order it with minimum degree.
-            let mut local_of_global = std::collections::HashMap::with_capacity(region.len());
-            for (i, &v) in region.iter().enumerate() {
-                local_of_global.insert(v, i as u32);
-            }
-            let mut coords = Vec::new();
-            for (i, &v) in region.iter().enumerate() {
-                for &w in g.neighbors(v as usize) {
-                    if let Some(&j) = local_of_global.get(&w) {
-                        if (i as u32) < j {
-                            coords.push((j, i as u32));
-                        }
-                    }
-                }
-            }
-            let p = sparsemat::SparsityPattern::from_coords(region.len(), coords)
-                .expect("local subgraph coords valid");
-            let sub = Graph::from_pattern(&p);
-            let perm = minimum_degree(&sub);
-            for k in 0..region.len() {
-                order.push(region[perm.old_of_new(k)]);
-            }
-        }
+/// order, or minimum degree on the region's induced subgraph, which is handed
+/// to the minimum-degree state directly — local index = position in `region`
+/// — without materializing a pattern or a graph. `local` is a vertex → local
+/// index map at least `g.n()` long, all `u32::MAX` on entry and on return.
+pub(crate) fn order_base(
+    g: &Graph,
+    base: BaseOrdering,
+    region: &[u32],
+    order: &mut Vec<u32>,
+    local: &mut [u32],
+    md: &mut MindegScratch,
+) {
+    if base == BaseOrdering::Natural || region.len() <= 2 {
+        order.extend_from_slice(region);
+        return;
     }
+    md.begin(region.len());
+    with_index_map(local, region, |local| {
+        for (i, &v) in region.iter().enumerate() {
+            let inside = g.neighbors(v as usize).iter().map(|&w| local[w as usize]);
+            md.set_neighbors(i, inside.filter(|&j| j != u32::MAX));
+        }
+    });
+    md.run();
+    order.extend(md.order.iter().map(|&k| region[k as usize]));
 }
 
 #[cfg(test)]

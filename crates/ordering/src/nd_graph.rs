@@ -27,12 +27,12 @@
 //! and every subtree owns a contiguous column range, which is what the
 //! subtree-parallel symbolic analysis and the proportional mapping consume.
 
-use crate::coarsen::{coarsen, LevelGraph};
-use crate::fm::{self, FmOptions, HIGH, LOW, SEP};
+use crate::coarsen::{coarsen_into, LevelBfs, LevelGraph};
+use crate::fm::{self, FmOptions, FmScratch, HIGH, LOW, SEP};
 use crate::nd::{order_base, BaseOrdering};
 use crate::septree::{SeparatorTree, NONE};
-use sparsemat::{Graph, Permutation, SparsityPattern};
-use std::collections::HashMap;
+use crate::workspace::{timed, Orderer, Workspace};
+use sparsemat::{Graph, Permutation};
 
 /// Separator refinement flavor used at each level of the bisection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,39 +95,39 @@ impl NdGraphOptions {
 /// Computes a nested dissection ordering of `g` from its structure alone,
 /// returning the permutation and the separator tree of the recursion.
 pub fn nd_graph(g: &Graph, opts: &NdGraphOptions) -> (Permutation, SeparatorTree) {
+    Orderer::new(g).nd_graph(opts)
+}
+
+/// [`nd_graph`] on a prepared quotient (`None`: dissect `g` itself) and a
+/// reusable workspace.
+pub(crate) fn dissect(
+    g: &Graph,
+    quotient: Option<&Quotient>,
+    opts: &NdGraphOptions,
+    ws: &mut Workspace,
+) -> (Permutation, SeparatorTree) {
     let n = g.n();
-    if n == 0 {
-        let tree = SeparatorTree {
-            parent: Vec::new(),
-            col_start: Vec::new(),
-            col_end: Vec::new(),
-            first_desc_col: Vec::new(),
-            n: 0,
-        };
-        return (Permutation::identity(0), tree);
-    }
-    // `compress` returns None when nothing merges; the quotient graph then
-    // *is* the input graph, borrowed — no clone, no singleton member lists.
-    let compressed = if opts.compress { compress(g) } else { None };
-    let (qg, members) = match &compressed {
-        Some((q, m)) => (q, Some(m.as_slice())),
-        None => (g, None),
-    };
+    let qg = quotient.map_or(g, |q| &q.graph);
     let qn = qg.n();
+    ws.enter(n);
     let mut d = Dissector {
         qg,
         og: g,
-        members,
+        quotient,
         opts,
+        ws,
+        verts: (0..qn as u32).collect(),
+        part: Vec::new(),
+        leaf_verts: Vec::new(),
+        nodes: Vec::new(),
+        bounds: Vec::new(),
         order: Vec::with_capacity(n),
-        alive: vec![false; qn],
         parent: Vec::new(),
         col_start: Vec::new(),
         col_end: Vec::new(),
         first_desc: Vec::new(),
     };
-    let all: Vec<u32> = (0..qn as u32).collect();
-    d.dissect(all);
+    d.dissect(0, qn);
     debug_assert_eq!(d.order.len(), n);
     let perm = Permutation::from_old_of_new(d.order).expect("dissection emits each vertex once");
     let tree = SeparatorTree {
@@ -141,67 +141,155 @@ pub fn nd_graph(g: &Graph, opts: &NdGraphOptions) -> (Permutation, SeparatorTree
     (perm, tree)
 }
 
-/// Groups vertices with identical closed neighborhoods into supervariables.
-/// Returns the quotient graph and, per quotient vertex, the original members
-/// (ascending), or `None` when no two vertices merge. Quotient vertices are
-/// numbered by smallest member.
-pub(crate) fn compress(g: &Graph) -> Option<(Graph, Vec<Vec<u32>>)> {
+/// A graph with vertices of identical closed neighborhood merged into
+/// supervariables: the quotient graph plus, per quotient vertex, its original
+/// members (ascending). Quotient vertices are numbered by smallest member.
+#[derive(Debug)]
+pub(crate) struct Quotient {
+    pub graph: Graph,
+    member_ptr: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Quotient {
+    /// Original vertices merged into quotient vertex `q`, ascending.
+    pub fn members(&self, q: u32) -> &[u32] {
+        let (from, to) = (self.member_ptr[q as usize], self.member_ptr[q as usize + 1]);
+        &self.members[from as usize..to as usize]
+    }
+
+    /// Number of original vertices merged into `q`.
+    pub fn weight(&self, q: u32) -> u32 {
+        self.member_ptr[q as usize + 1] - self.member_ptr[q as usize]
+    }
+}
+
+/// True when `v` and `w` (adjacent, equal degree) have the same closed
+/// neighborhood: their sorted open neighborhoods agree once `w` is dropped
+/// from `v`'s and `v` from `w`'s.
+fn same_closed_neighborhood(g: &Graph, v: u32, w: u32) -> bool {
+    let mut a = g.neighbors(v as usize).iter().filter(|&&x| x != w);
+    let mut b = g.neighbors(w as usize).iter().filter(|&&x| x != v);
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return true,
+            (x, y) if x != y => return false,
+            _ => {}
+        }
+    }
+}
+
+/// Groups vertices with identical closed neighborhoods into supervariables,
+/// or returns `None` when no two vertices merge.
+///
+/// Vertices with the same closed neighborhood are adjacent, so the twins of
+/// `v` are found among its neighbors: an order-independent checksum of the
+/// closed neighborhood rules almost every neighbor out, and an exact
+/// comparison confirms the rest. Scanning `v` upward and claiming twins as
+/// they are found numbers each class by its smallest member.
+pub(crate) fn compress(g: &Graph) -> Option<Quotient> {
     let n = g.n();
-    let mut groups: HashMap<Vec<u32>, u32> = HashMap::with_capacity(n);
-    let mut members: Vec<Vec<u32>> = Vec::new();
-    let mut q_of: Vec<u32> = vec![0; n];
-    let mut key = Vec::new();
-    for (v, q_slot) in q_of.iter_mut().enumerate() {
-        key.clear();
-        key.extend_from_slice(g.neighbors(v));
-        // Closed neighborhood: insert v itself, keeping the key sorted.
-        let pos = key.partition_point(|&w| w < v as u32);
-        key.insert(pos, v as u32);
-        let q = *groups.entry(key.clone()).or_insert_with(|| {
-            members.push(Vec::new());
-            (members.len() - 1) as u32
-        });
-        members[q as usize].push(v as u32);
-        *q_slot = q;
-    }
-    let qn = members.len();
-    if qn == n {
-        return None;
-    }
-    let mut coords: Vec<(u32, u32)> = Vec::new();
+    // splitmix64 finalizer: a linear mix would reduce the checksum to the
+    // sum of the ids, which collides on every pair of shifted stencils.
+    let mix = |v: usize| {
+        let mut z = (v as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let id_hash: Vec<u64> = (0..n).map(mix).collect();
+    let checksum: Vec<u64> = (0..n)
+        .map(|v| {
+            g.neighbors(v).iter().fold(id_hash[v], |h, &w| h.wrapping_add(id_hash[w as usize]))
+        })
+        .collect();
+
+    const UNSET: u32 = u32::MAX;
+    let mut q_of = vec![UNSET; n];
+    let mut member_ptr: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut members: Vec<u32> = Vec::with_capacity(n);
     for v in 0..n {
-        let qv = q_of[v];
+        if q_of[v] != UNSET {
+            continue;
+        }
+        let q = member_ptr.len() as u32;
+        member_ptr.push(members.len() as u32);
+        q_of[v] = q;
+        members.push(v as u32);
         for &w in g.neighbors(v) {
-            let qw = q_of[w as usize];
-            if qv < qw {
-                coords.push((qw, qv));
+            let wu = w as usize;
+            if wu > v
+                && q_of[wu] == UNSET
+                && checksum[wu] == checksum[v]
+                && g.degree(wu) == g.degree(v)
+                && same_closed_neighborhood(g, v as u32, w)
+            {
+                q_of[wu] = q;
+                members.push(w);
             }
         }
     }
-    coords.sort_unstable();
-    coords.dedup();
-    let p = SparsityPattern::from_coords(qn, coords).expect("quotient coords valid");
-    Some((Graph::from_pattern(&p), members))
+    let qn = member_ptr.len();
+    if qn == n {
+        return None;
+    }
+    member_ptr.push(n as u32);
+
+    // All members of a class see the same classes, so the representative's
+    // neighbors, mapped and deduplicated, are the quotient adjacency.
+    let mut adj_ptr = Vec::with_capacity(qn + 1);
+    let mut adj: Vec<u32> = Vec::new();
+    adj_ptr.push(0);
+    for q in 0..qn {
+        let rep = members[member_ptr[q] as usize] as usize;
+        let start = adj.len();
+        adj.extend(g.neighbors(rep).iter().map(|&w| q_of[w as usize]).filter(|&qw| qw != q as u32));
+        adj[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..adj.len() {
+            if i == start || adj[i] != adj[kept - 1] {
+                adj[kept] = adj[i];
+                kept += 1;
+            }
+        }
+        adj.truncate(kept);
+        adj_ptr.push(adj.len());
+    }
+    Some(Quotient { graph: Graph::from_sorted_adjacency(adj_ptr, adj), member_ptr, members })
 }
 
-/// Splits a connected [`LevelGraph`] by a BFS level structure from a
-/// pseudo-peripheral vertex, cut at the level that best halves the weight;
-/// the separator is the high-side boundary. A hopeless cut (one side under
-/// 1/8 of the weight) falls back to splitting the BFS order at its weight
-/// median.
-pub(crate) fn initial_bisection(lg: &LevelGraph) -> Vec<u8> {
+/// Scratch for [`initial_bisection`]: the BFS buffers and the per-level
+/// weight and count histograms.
+#[derive(Debug, Default)]
+pub(crate) struct BisectScratch {
+    pub bfs: LevelBfs,
+    level_w: Vec<usize>,
+    level_cnt: Vec<usize>,
+}
+
+/// Splits a connected [`LevelGraph`] by a BFS level structure rooted at the
+/// far end of a sweep from vertex 0, cut at the level that best halves the
+/// weight; the separator is the high-side boundary. A hopeless cut (one side
+/// under 1/8 of the weight) falls back to splitting the BFS order at its
+/// weight median. The labels are left in `label`.
+pub(crate) fn initial_bisection(lg: &LevelGraph, label: &mut Vec<u8>, s: &mut BisectScratch) {
     let n = lg.n();
     let w = lg.total_weight();
-    let start = lg.pseudo_peripheral(0);
-    let (bfs_order, levels) = lg.bfs(start);
+    let BisectScratch { bfs, level_w, level_cnt } = s;
+    lg.bfs(0, bfs);
+    let start = *bfs.order.last().expect("nonempty") as usize;
+    lg.bfs(start, bfs);
+    let (bfs_order, levels) = (&bfs.order, &bfs.level);
     debug_assert_eq!(bfs_order.len(), n, "initial_bisection needs a connected graph");
     let max_level = levels[*bfs_order.last().expect("nonempty") as usize] as usize;
     let mut cut = 0usize; // index into bfs_order: low = bfs_order[..cut]
     if max_level >= 1 {
-        let mut level_w = vec![0usize; max_level + 1];
-        let mut level_cnt = vec![0usize; max_level + 1];
-        for &v in &bfs_order {
-            level_w[levels[v as usize] as usize] += lg.vwt[v as usize];
+        level_w.clear();
+        level_w.resize(max_level + 1, 0);
+        level_cnt.clear();
+        level_cnt.resize(max_level + 1, 0);
+        for &v in bfs_order {
+            level_w[levels[v as usize] as usize] += lg.vwt[v as usize] as usize;
             level_cnt[levels[v as usize] as usize] += 1;
         }
         let (mut cum, mut cnt, mut best_gap) = (0usize, 0usize, usize::MAX);
@@ -214,7 +302,7 @@ pub(crate) fn initial_bisection(lg: &LevelGraph) -> Vec<u8> {
                 cut = cnt;
             }
         }
-        let low_w: usize = bfs_order[..cut].iter().map(|&v| lg.vwt[v as usize]).sum();
+        let low_w: usize = bfs_order[..cut].iter().map(|&v| lg.vwt[v as usize] as usize).sum();
         if low_w.min(w - low_w) * 8 < w {
             cut = 0;
         }
@@ -223,12 +311,13 @@ pub(crate) fn initial_bisection(lg: &LevelGraph) -> Vec<u8> {
         // Fallback: split the BFS order itself at the weight median.
         let (mut cum, mut k) = (0usize, 0usize);
         while k < bfs_order.len() - 1 && 2 * cum < w {
-            cum += lg.vwt[bfs_order[k] as usize];
+            cum += lg.vwt[bfs_order[k] as usize] as usize;
             k += 1;
         }
         cut = k.max(1);
     }
-    let mut label = vec![HIGH; n];
+    label.clear();
+    label.resize(n, HIGH);
     for &v in &bfs_order[..cut] {
         label[v as usize] = LOW;
     }
@@ -237,7 +326,6 @@ pub(crate) fn initial_bisection(lg: &LevelGraph) -> Vec<u8> {
             label[v as usize] = SEP;
         }
     }
-    label
 }
 
 /// Greedy thinning: a separator vertex with no neighbor on one side moves to
@@ -251,9 +339,9 @@ fn greedy_refine(lg: &LevelGraph, label: &mut [u8], passes: usize) {
     let mut n_high = 0usize;
     for (v, &l) in label.iter().enumerate() {
         match l {
-            LOW => w_low += lg.vwt[v],
+            LOW => w_low += lg.vwt[v] as usize,
             HIGH => {
-                w_high += lg.vwt[v];
+                w_high += lg.vwt[v] as usize;
                 n_high += 1;
             }
             _ => {}
@@ -284,9 +372,9 @@ fn greedy_refine(lg: &LevelGraph, label: &mut [u8], passes: usize) {
             };
             label[v] = side;
             if side == LOW {
-                w_low += lg.vwt[v];
+                w_low += lg.vwt[v] as usize;
             } else {
-                w_high += lg.vwt[v];
+                w_high += lg.vwt[v] as usize;
             }
             moved = true;
         }
@@ -296,45 +384,71 @@ fn greedy_refine(lg: &LevelGraph, label: &mut [u8], passes: usize) {
     }
 }
 
-fn refine_labels(lg: &LevelGraph, label: &mut [u8], opts: &NdGraphOptions) {
+fn refine_labels(lg: &LevelGraph, label: &mut [u8], opts: &NdGraphOptions, fm: &mut FmScratch) {
     match opts.refine {
-        RefineKind::Fm => {
-            fm::refine(lg, label, &FmOptions { passes: opts.refine_passes, ..Default::default() })
-        }
+        RefineKind::Fm => fm::refine_with(
+            lg,
+            label,
+            &FmOptions { passes: opts.refine_passes, ..Default::default() },
+            fm,
+        ),
         RefineKind::Greedy => greedy_refine(lg, label, opts.refine_passes),
     }
 }
 
-/// Bisects a connected level graph, coarsening through heavy-edge matching
-/// first when enabled, refining after the coarsest cut and after every
-/// projection step.
-pub(crate) fn multilevel_labels(lg: &LevelGraph, opts: &NdGraphOptions, depth: usize) -> Vec<u8> {
-    if opts.multilevel && lg.n() > opts.coarsest.max(8) && depth < 48 {
-        if let Some((cg, map)) = coarsen(lg) {
-            let cl = multilevel_labels(&cg, opts, depth + 1);
-            // A fine vertex inherits its coarse label; a fine low–high edge
-            // would imply a coarse low–high edge, so the FM invariant holds.
-            let mut label: Vec<u8> = map.iter().map(|&c| cl[c as usize]).collect();
-            refine_labels(lg, &mut label, opts);
-            return label;
+/// Bisects the connected level graph in `ws.levels[0]`, leaving the labels in
+/// `ws.labels[0]`: coarsens through heavy-edge matching first when enabled,
+/// cuts the coarsest graph, and refines after the cut and after every
+/// projection step. The hierarchy lives in the workspace's level slots.
+pub(crate) fn multilevel_labels(ws: &mut Workspace, opts: &NdGraphOptions) {
+    let mut top = 0;
+    while opts.multilevel && ws.levels[top].n() > opts.coarsest.max(8) && top < 48 {
+        ws.level(top + 1);
+        let (fine, coarse) = ws.levels.split_at_mut(top + 1);
+        let (fine, coarse, map, scratch) =
+            (&fine[top], &mut coarse[0], &mut ws.maps[top], &mut ws.coarsen);
+        if !timed(&mut ws.phases.coarsen_s, || coarsen_into(fine, coarse, map, scratch)) {
+            break;
         }
+        top += 1;
     }
-    let mut label = initial_bisection(lg);
-    refine_labels(lg, &mut label, opts);
-    label
+    let (lg, label) = (&ws.levels[top], &mut ws.labels[top]);
+    timed(&mut ws.phases.bisect_s, || initial_bisection(lg, label, &mut ws.bisect));
+    timed(&mut ws.phases.fm_s, || refine_labels(lg, label, opts, &mut ws.fm));
+    for d in (0..top).rev() {
+        // A fine vertex inherits its coarse label; a fine low–high edge
+        // would imply a coarse low–high edge, so the FM invariant holds.
+        let (fine, coarse) = ws.labels.split_at_mut(d + 1);
+        let (label, coarse, map) = (&mut fine[d], &coarse[0], &ws.maps[d]);
+        timed(&mut ws.phases.bisect_s, || {
+            label.clear();
+            label.extend(map.iter().map(|&c| coarse[c as usize]));
+        });
+        timed(&mut ws.phases.fm_s, || refine_labels(&ws.levels[d], label, opts, &mut ws.fm));
+    }
 }
 
-/// Recursion state. `alive` is reusable per-quotient-vertex scratch; the four
-/// tree vectors grow one slot per finished node, so node indices come out in
-/// postorder (children before parents, roots last). `members` is `None` when
-/// the graph was not compressed — the quotient graph is then `og` itself.
+/// Recursion state. Regions are slices `verts[lo..hi]`, ascending on entry to
+/// [`Dissector::dissect`] and permuted in place through `part` (components,
+/// then low | high | separator) on the way down, so the recursion allocates
+/// nothing of its own. The four tree vectors grow one slot per finished node,
+/// so node indices come out in postorder (children before parents, roots
+/// last); `nodes` is the stack of finished nodes still waiting for a parent
+/// and `bounds` the stack of component boundaries of the regions being
+/// split. `quotient` is `None` when the graph was not compressed — the
+/// quotient graph is then `og` itself.
 struct Dissector<'a> {
     qg: &'a Graph,
     og: &'a Graph,
-    members: Option<&'a [Vec<u32>]>,
+    quotient: Option<&'a Quotient>,
     opts: &'a NdGraphOptions,
+    ws: &'a mut Workspace,
+    verts: Vec<u32>,
+    part: Vec<u32>,
+    leaf_verts: Vec<u32>,
+    nodes: Vec<u32>,
+    bounds: Vec<u32>,
     order: Vec<u32>,
-    alive: Vec<bool>,
     parent: Vec<u32>,
     col_start: Vec<u32>,
     col_end: Vec<u32>,
@@ -342,119 +456,141 @@ struct Dissector<'a> {
 }
 
 impl Dissector<'_> {
-    fn mlen(&self, v: u32) -> usize {
-        self.members.map_or(1, |m| m[v as usize].len())
-    }
-
     fn weight(&self, region: &[u32]) -> usize {
-        match self.members {
+        match self.quotient {
             None => region.len(),
-            Some(m) => region.iter().map(|&v| m[v as usize].len()).sum(),
+            Some(q) => region.iter().map(|&v| q.weight(v) as usize).sum(),
         }
     }
 
     fn emit(&mut self, v: u32) {
-        match self.members {
+        match self.quotient {
             None => self.order.push(v),
-            Some(m) => self.order.extend_from_slice(&m[v as usize]),
+            Some(q) => self.order.extend_from_slice(q.members(v)),
         }
     }
 
-    fn push_node(&mut self, children: &[u32], first_desc: u32, col_start: u32) -> u32 {
+    /// Records a finished node whose children are the nodes stacked above
+    /// `children_from`, and stacks it in their place.
+    fn push_node(&mut self, children_from: usize, first_desc: u32, col_start: u32) {
         let id = self.parent.len() as u32;
         self.parent.push(NONE);
         self.col_start.push(col_start);
         self.col_end.push(self.order.len() as u32);
         self.first_desc.push(first_desc);
-        for &c in children {
+        for &c in &self.nodes[children_from..] {
             self.parent[c as usize] = id;
         }
-        id
+        self.nodes.truncate(children_from);
+        self.nodes.push(id);
     }
 
     /// Orders a base region and records it as a leaf node.
-    fn leaf(&mut self, region: &[u32]) -> u32 {
+    fn leaf(&mut self, lo: usize, hi: usize) {
         let start = self.order.len() as u32;
-        if region.len() == 1 {
-            self.emit(region[0]);
+        let t0 = std::time::Instant::now();
+        if hi - lo == 1 {
+            self.emit(self.verts[lo]);
         } else {
-            let mut verts: Vec<u32> = Vec::with_capacity(self.weight(region));
-            match self.members {
-                None => verts.extend_from_slice(region),
-                Some(m) => {
-                    for &v in region {
-                        verts.extend_from_slice(&m[v as usize]);
+            let region = match self.quotient {
+                None => &self.verts[lo..hi],
+                Some(q) => {
+                    self.leaf_verts.clear();
+                    for &v in &self.verts[lo..hi] {
+                        self.leaf_verts.extend_from_slice(q.members(v));
                     }
+                    self.leaf_verts.sort_unstable();
+                    &self.leaf_verts[..]
                 }
-            }
-            verts.sort_unstable();
-            order_base(self.og, self.opts.base, &verts, &mut self.order);
+            };
+            let (order, ws) = (&mut self.order, &mut *self.ws);
+            order_base(self.og, self.opts.base, region, order, &mut ws.local, &mut ws.mindeg);
         }
-        self.push_node(&[], start, start)
+        self.ws.phases.base_s += t0.elapsed().as_secs_f64();
+        self.push_node(self.nodes.len(), start, start);
     }
 
-    /// Dissects `region` (quotient vertices), appending its columns to the
-    /// ordering and its nodes to the tree. Returns the root node of every
-    /// connected component of the region.
-    fn dissect(&mut self, region: Vec<u32>) -> Vec<u32> {
-        if region.is_empty() {
-            return Vec::new();
+    /// Dissects the region `verts[lo..hi]` (quotient vertices, ascending),
+    /// appending its columns to the ordering and its nodes to the tree, and
+    /// stacks the root node of every connected component of the region on
+    /// `nodes`.
+    fn dissect(&mut self, lo: usize, hi: usize) {
+        if lo == hi {
+            return;
         }
-        let w = self.weight(&region);
-        if region.len() == 1 || w <= self.opts.base_cutoff {
-            return vec![self.leaf(&region)];
+        let w = self.weight(&self.verts[lo..hi]);
+        if hi - lo == 1 || w <= self.opts.base_cutoff {
+            return self.leaf(lo, hi);
         }
 
-        // Split into connected components first; each recurses independently.
-        for &v in &region {
-            self.alive[v as usize] = true;
-        }
-        let mut comps: Vec<Vec<u32>> = Vec::new();
-        for &v in &region {
-            if self.alive[v as usize] {
-                let (found, _) = self.qg.bfs(v as usize, &self.alive);
-                for &u in &found {
-                    self.alive[u as usize] = false;
+        // The region's own weighted graph (local indices follow the region
+        // order); connectivity is decided on it rather than on the full
+        // graph, so the search never looks outside the region.
+        let ws = &mut *self.ws;
+        let quotient = self.quotient;
+        timed(&mut ws.phases.level_graph_s, || {
+            ws.levels[0].fill_from_region(
+                self.qg,
+                &self.verts[lo..hi],
+                |v| quotient.map_or(1, |q| q.weight(v)),
+                &mut ws.local,
+            )
+        });
+        let bounds_from = self.bounds.len();
+        timed(&mut ws.phases.components_s, || {
+            let (lg, bfs) = (&ws.levels[0], &mut ws.bisect.bfs);
+            lg.bfs_begin(bfs);
+            for v in 0..lg.n() {
+                if bfs.level[v] == u32::MAX {
+                    self.bounds.push(bfs.order.len() as u32);
+                    lg.bfs_from(v, bfs);
                 }
-                comps.push(found);
             }
-        }
-        if comps.len() > 1 {
-            drop(region);
-            let mut roots = Vec::with_capacity(comps.len());
-            for comp in comps {
-                roots.extend(self.dissect(comp));
+        });
+        if self.bounds.len() - bounds_from > 1 {
+            // Several components: regroup the region by component (found in
+            // order of smallest vertex), each ascending, and recurse on each.
+            self.part.clear();
+            self.part.extend(ws.bisect.bfs.order.iter().map(|&i| self.verts[lo + i as usize]));
+            self.verts[lo..hi].copy_from_slice(&self.part);
+            self.bounds.push((hi - lo) as u32);
+            for k in bounds_from..self.bounds.len() - 1 {
+                let (a, b) = (lo + self.bounds[k] as usize, lo + self.bounds[k + 1] as usize);
+                self.verts[a..b].sort_unstable();
+                self.dissect(a, b);
             }
-            return roots;
+            self.bounds.truncate(bounds_from);
+            return;
         }
+        self.bounds.truncate(bounds_from);
 
-        // Connected region: multilevel bisection on the induced weighted
-        // graph (local indices follow the sorted region order).
-        let mut region = comps.pop().expect("one component");
-        region.sort_unstable();
-        let lg = LevelGraph::from_region(self.qg, &region, &|v| self.mlen(v));
-        let labels = multilevel_labels(&lg, self.opts, 0);
-
-        let mut low = Vec::new();
-        let mut high = Vec::new();
-        let mut sep = Vec::new();
-        for (i, &v) in region.iter().enumerate() {
-            match labels[i] {
-                LOW => low.push(v),
-                HIGH => high.push(v),
-                _ => sep.push(v),
-            }
+        // Connected region: multilevel bisection, then low | high | separator
+        // in place, each part keeping the ascending order.
+        multilevel_labels(ws, self.opts);
+        let labels = &ws.labels[0];
+        let mut at = [0usize; 3];
+        for &l in labels {
+            at[l as usize] += 1;
         }
-        drop(region);
+        let (n_low, n_high) = (at[LOW as usize], at[HIGH as usize]);
+        at = [0, n_low, n_low + n_high];
+        self.part.clear();
+        self.part.resize(hi - lo, 0);
+        for (&v, &l) in self.verts[lo..hi].iter().zip(labels) {
+            self.part[at[l as usize]] = v;
+            at[l as usize] += 1;
+        }
+        self.verts[lo..hi].copy_from_slice(&self.part);
 
         let first_desc = self.order.len() as u32;
-        let mut children = self.dissect(low);
-        children.extend(self.dissect(high));
+        let children_from = self.nodes.len();
+        self.dissect(lo, lo + n_low);
+        self.dissect(lo + n_low, lo + n_low + n_high);
         let col_start = self.order.len() as u32;
-        for &v in &sep {
-            self.emit(v);
+        for i in lo + n_low + n_high..hi {
+            self.emit(self.verts[i]);
         }
-        vec![self.push_node(&children, first_desc, col_start)]
+        self.push_node(children_from, first_desc, col_start);
     }
 }
 
@@ -462,7 +598,7 @@ impl Dissector<'_> {
 mod tests {
     use super::*;
     use crate::reference;
-    use sparsemat::gen;
+    use sparsemat::{gen, SparsityPattern};
 
     fn graph_of(p: &sparsemat::Problem) -> Graph {
         Graph::from_pattern(p.matrix.pattern())
@@ -500,9 +636,18 @@ mod tests {
         // connectivity — compression must find them.
         let p = gen::bcsstk_like("C", 120, 1);
         let g = graph_of(&p);
-        let (qg, members) = compress(&g).expect("dof blocks must compress");
-        assert!(qg.n() < g.n(), "no compression on {} vertices", g.n());
-        assert_eq!(members.iter().map(Vec::len).sum::<usize>(), g.n());
+        let q = compress(&g).expect("dof blocks must compress");
+        let qn = q.graph.n() as u32;
+        assert!(q.graph.n() < g.n(), "no compression on {} vertices", g.n());
+        assert_eq!((0..qn).map(|v| q.weight(v) as usize).sum::<usize>(), g.n());
+        // Classes are numbered by smallest member, members ascend, and every
+        // member has its representative's closed neighborhood.
+        assert!((1..qn).all(|v| q.members(v - 1)[0] < q.members(v)[0]));
+        for v in 0..qn {
+            let m = q.members(v);
+            assert!(m.windows(2).all(|w| w[0] < w[1]));
+            assert!(m[1..].iter().all(|&w| same_closed_neighborhood(&g, m[0], w)));
+        }
         let (perm, tree) = nd_graph(&g, &NdGraphOptions::default());
         assert_eq!(perm.len(), g.n());
         tree.validate().unwrap();

@@ -28,11 +28,12 @@
 //! always resolves to the same choice — which lets plan caches key on the
 //! *resolved* ordering.
 
-use crate::coarsen::LevelGraph;
-use crate::fm::{self, FmOptions, HIGH, LOW, SEP};
-use crate::mindeg::minimum_degree;
-use crate::nd_graph::{compress, initial_bisection};
-use sparsemat::Graph;
+use crate::coarsen::{LevelBfs, LevelGraph};
+use crate::fm::{self, FmOptions, FmScratch, HIGH, LOW, SEP};
+use crate::mindeg::{minimum_degree_with, MindegScratch};
+use crate::nd_graph::{initial_bisection, BisectScratch, Quotient};
+use crate::workspace::{with_index_map, Orderer, Workspace};
+use sparsemat::{BfsScratch, Graph};
 
 /// The concrete ordering the probe resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,13 +67,19 @@ pub struct ProbeReport {
 
 /// Below this many vertices the probe does not bother with estimates:
 /// minimum degree is robust and dissection has no asymptotic edge to claim.
-const SMALL_N: usize = 192;
+pub(crate) const SMALL_N: usize = 192;
 /// Largest minimum-degree sample; matrices at most this large are measured
 /// exactly rather than extrapolated.
 const SAMPLE_N: usize = 1600;
 
 /// Resolves `Auto` for the graph of a sparsity pattern. See module docs.
 pub fn probe_structure(g: &Graph) -> ProbeReport {
+    Orderer::new(g).probe()
+}
+
+/// [`probe_structure`] on a prepared quotient (`None`: nothing merges) and a
+/// reusable workspace.
+pub(crate) fn probe_with(g: &Graph, quotient: Option<&Quotient>, ws: &mut Workspace) -> ProbeReport {
     let n = g.n();
     let md_report = |md_est: f64| ProbeReport {
         choice: ProbeChoice::MinimumDegree,
@@ -86,42 +93,46 @@ pub fn probe_structure(g: &Graph) -> ProbeReport {
     if n < SMALL_N {
         return md_report(0.0);
     }
+    ws.enter(n);
+    ws.level(2);
 
     // Work on the compressed graph, like the dissection itself would.
-    let compressed = compress(g);
-    let (qg, members) = match &compressed {
-        Some((q, m)) => (q, Some(m.as_slice())),
-        None => (g, None),
-    };
-    let wt = |v: u32| members.map_or(1, |m| m[v as usize].len());
+    let qg = quotient.map_or(g, |q| &q.graph);
+    let wt = |v: u32| quotient.map_or(1, |q| q.weight(v));
     let alive = vec![true; qg.n()];
     let comp = qg
         .components(&alive)
         .into_iter()
-        .max_by_key(|c| (c.iter().map(|&v| wt(v)).sum::<usize>(), usize::MAX - c.first().map_or(0, |&v| v as usize)))
+        .max_by_key(|c| {
+            let weight: usize = c.iter().map(|&v| wt(v) as usize).sum();
+            (weight, usize::MAX - c.first().map_or(0, |&v| v as usize))
+        })
         .expect("n > 0");
     // A graph that compresses into a handful of supervariables is a union of
     // dense blocks; there is no separator worth finding.
     if comp.len() < 16 {
-        return md_report(md_estimate(g, None).1);
+        return md_report(md_estimate(g, None, ws).1);
     }
     let mut comp = comp;
     comp.sort_unstable();
-    let lg = LevelGraph::from_region(qg, &comp, &|v| wt(v));
+    let Workspace { levels: slots, labels, local, bisect: cut, fm, .. } = &mut *ws;
+    let [lg, sub, sub2, ..] = &mut slots[..] else { unreachable!("three level slots") };
+    let label = &mut labels[0];
+    lg.fill_from_region(qg, &comp, wt, local);
     let w1 = lg.total_weight();
 
-    let (s1, bal, heavy) = bisect(&lg);
+    let (s1, bal, heavy) = bisect(lg, label, cut, fm);
     if s1 == 0 || heavy.is_empty() {
-        return md_report(md_estimate(g, None).1);
+        return md_report(md_estimate(g, None, ws).1);
     }
 
     // Second-level separator on the heavier side (largest connected piece).
-    let sub = lg.subgraph(&heavy);
-    let piece = largest_component(&sub);
+    lg.fill_subgraph(&heavy, sub, local);
+    let piece = largest_component(sub, &mut cut.bfs);
     let (s2, w2) = if piece.len() >= 16 {
-        let sub2 = sub.subgraph(&piece);
+        sub.fill_subgraph(&piece, sub2, local);
         let w2 = sub2.total_weight();
-        let (s2, _, _) = bisect(&sub2);
+        let (s2, _, _) = bisect(sub2, label, cut, fm);
         (s2, w2)
     } else {
         (0, 0)
@@ -133,7 +144,7 @@ pub fn probe_structure(g: &Graph) -> ProbeReport {
         1.0
     };
 
-    let (md_beta, md_est) = md_estimate(g, Some(alpha));
+    let (md_beta, md_est) = md_estimate(g, Some(alpha), ws);
 
     // Dissection cost: separators at depth i number 2^i and weigh
     // s1 * 2^(-alpha*i); a (near-dense by elimination time) separator of
@@ -187,12 +198,17 @@ fn md_sample_scale(md_est: f64, n: usize, target: usize, beta: f64) -> f64 {
 /// Level-cut + FM bisection of a connected level graph. Returns the refined
 /// separator weight, the balance (lighter side over total), and the heavier
 /// side's vertices (ascending local ids).
-fn bisect(lg: &LevelGraph) -> (usize, f64, Vec<u32>) {
-    let mut label = initial_bisection(lg);
-    fm::refine(lg, &mut label, &FmOptions::default());
+fn bisect(
+    lg: &LevelGraph,
+    label: &mut Vec<u8>,
+    scratch: &mut BisectScratch,
+    fm: &mut FmScratch,
+) -> (usize, f64, Vec<u32>) {
+    initial_bisection(lg, label, scratch);
+    fm::refine_with(lg, label, &FmOptions::default(), fm);
     let mut w = [0usize; 3];
     for (v, &l) in label.iter().enumerate() {
-        w[l as usize] += lg.vwt[v];
+        w[l as usize] += lg.vwt[v] as usize;
     }
     let total = w[0] + w[1] + w[2];
     let bal = if total == 0 { 0.0 } else { w[0].min(w[1]) as f64 / total as f64 };
@@ -204,26 +220,24 @@ fn bisect(lg: &LevelGraph) -> (usize, f64, Vec<u32>) {
     (w[2], bal, heavy)
 }
 
-/// Largest connected component of a level graph (ascending local ids).
-fn largest_component(lg: &LevelGraph) -> Vec<u32> {
-    let n = lg.n();
-    let mut seen = vec![false; n];
-    let mut best: Vec<u32> = Vec::new();
-    for v in 0..n {
-        if seen[v] {
-            continue;
-        }
-        let (order, _) = lg.bfs(v);
-        let mut comp: Vec<u32> = order.into_iter().filter(|&u| !seen[u as usize]).collect();
-        for &u in &comp {
-            seen[u as usize] = true;
-        }
-        if comp.len() > best.len() {
-            comp.sort_unstable();
-            best = comp;
+/// Largest connected component of a level graph (ascending local ids; the
+/// first found among equals). One pass: every search shares `bfs`'s levels
+/// as its visited set.
+fn largest_component(lg: &LevelGraph, bfs: &mut LevelBfs) -> Vec<u32> {
+    lg.bfs_begin(bfs);
+    let mut best = 0..0;
+    for v in 0..lg.n() {
+        if bfs.level[v] == u32::MAX {
+            let from = bfs.order.len();
+            lg.bfs_from(v, bfs);
+            if bfs.order.len() - from > best.len() {
+                best = from..bfs.order.len();
+            }
         }
     }
-    best
+    let mut comp = bfs.order[best].to_vec();
+    comp.sort_unstable();
+    comp
 }
 
 /// Estimates full-size minimum-degree factorization flops from one or two
@@ -238,23 +252,23 @@ fn largest_component(lg: &LevelGraph) -> Vec<u32> {
 /// exponent is at least in that regime (`α = 1/2` → 1.75 vs the 2-D
 /// theoretical 1.5; `α = 2/3` → ~1.83 vs the measured ~2.3 — a floor, not a
 /// fit).
-fn md_estimate(g: &Graph, alpha: Option<f64>) -> (f64, f64) {
+fn md_estimate(g: &Graph, alpha: Option<f64>, ws: &mut Workspace) -> (f64, f64) {
     let n = g.n();
     let m1 = n.min(SAMPLE_N);
-    let ball1 = bfs_ball(g, m1);
-    let f1 = sample_md_flops(g, &ball1);
+    // The half-size ball grows from the same center, so it is a prefix of
+    // the same sequence.
+    let seq = ball_sequence(g, m1, &mut ws.graph_bfs);
+    let mut sample = |m: usize| {
+        let mut ball = seq[..m].to_vec();
+        ball.sort_unstable();
+        sample_md_flops(g, &ball, &mut ws.local, &mut ws.mindeg)
+    };
+    let f1 = sample(m1);
     if m1 == n {
         return (2.0, f1);
     }
     let m2 = m1 / 2;
-    let ball2: Vec<u32> = {
-        // The half-size ball grows from the same center: a prefix of the
-        // same BFS order, re-sorted.
-        let mut b = bfs_ball(g, m2);
-        b.sort_unstable();
-        b
-    };
-    let f2 = sample_md_flops(g, &ball2);
+    let f2 = sample(m2);
     let mut beta = if f2 > 0.0 && f1 > f2 {
         ((f1 / f2).ln() / (m1 as f64 / m2 as f64).ln()).clamp(1.0, 2.6)
     } else {
@@ -267,16 +281,17 @@ fn md_estimate(g: &Graph, alpha: Option<f64>) -> (f64, f64) {
 }
 
 /// The first `m` vertices of a BFS from a central vertex (the median of the
-/// BFS order from a pseudo-peripheral vertex), ascending.
-fn bfs_ball(g: &Graph, m: usize) -> Vec<u32> {
+/// BFS order from a pseudo-peripheral vertex), in visit order. When the
+/// search exhausts a small component before reaching `m`, the remaining
+/// vertices top it up in ascending order so sample sizes stay comparable.
+/// Any prefix is the sequence a smaller `m` would have produced.
+fn ball_sequence(g: &Graph, m: usize, bfs: &mut BfsScratch) -> Vec<u32> {
     let alive = vec![true; g.n()];
-    let pp = g.pseudo_peripheral(0, &alive);
-    let (order, _) = g.bfs(pp, &alive);
-    let center = order[order.len() / 2] as usize;
-    let (order, _) = g.bfs(center, &alive);
-    let mut ball: Vec<u32> = order.into_iter().take(m).collect();
-    // BFS may exhaust a small component before reaching m; top up from the
-    // remaining vertices so sample sizes stay comparable.
+    // Leaves the search from the pseudo-peripheral vertex in `bfs`.
+    g.pseudo_peripheral_with(0, &alive, bfs);
+    let center = bfs.order[bfs.order.len() / 2] as usize;
+    g.bfs_with(center, &alive, m, bfs);
+    let mut ball = bfs.order.clone();
     if ball.len() < m {
         let mut inb = vec![false; g.n()];
         for &v in &ball {
@@ -291,33 +306,29 @@ fn bfs_ball(g: &Graph, m: usize) -> Vec<u32> {
             }
         }
     }
-    ball.sort_unstable();
     ball
 }
 
 /// Exact factorization flops of the subgraph induced by `verts` (ascending)
-/// under its own minimum-degree ordering.
-fn sample_md_flops(g: &Graph, verts: &[u32]) -> f64 {
-    let m = verts.len();
-    if m == 0 {
+/// under its own minimum-degree ordering. `local` is a clear vertex → local
+/// index map (see [`crate::nd::order_base`]).
+fn sample_md_flops(g: &Graph, verts: &[u32], local: &mut [u32], md: &mut MindegScratch) -> f64 {
+    if verts.is_empty() {
         return 0.0;
     }
-    let mut local = vec![u32::MAX; g.n()];
-    for (i, &v) in verts.iter().enumerate() {
-        local[v as usize] = i as u32;
-    }
-    let mut coords: Vec<(u32, u32)> = Vec::new();
-    for (i, &v) in verts.iter().enumerate() {
-        for &u in g.neighbors(v as usize) {
-            let lu = local[u as usize];
-            if lu != u32::MAX && lu < i as u32 {
-                coords.push((i as u32, lu));
-            }
+    // `verts` ascends, so mapped neighbor lists stay ascending.
+    let mut adj_ptr = Vec::with_capacity(verts.len() + 1);
+    let mut adj = Vec::new();
+    adj_ptr.push(0);
+    with_index_map(local, verts, |local| {
+        for &v in verts {
+            let inside = g.neighbors(v as usize).iter().map(|&u| local[u as usize]);
+            adj.extend(inside.filter(|&lu| lu != u32::MAX));
+            adj_ptr.push(adj.len());
         }
-    }
-    let p = sparsemat::SparsityPattern::from_coords(m, coords).expect("sample coords valid");
-    let sub = Graph::from_pattern(&p);
-    let perm = minimum_degree(&sub);
+    });
+    let sub = Graph::from_sorted_adjacency(adj_ptr, adj);
+    let perm = minimum_degree_with(&sub, md);
     factor_flops(&sub, &perm)
 }
 
@@ -407,8 +418,9 @@ mod tests {
         let p = gen::grid2d(12);
         let g = graph_of(&p);
         let verts: Vec<u32> = (0..g.n() as u32).collect();
-        let flops = sample_md_flops(&g, &verts);
-        let perm = minimum_degree(&g);
+        let flops =
+            sample_md_flops(&g, &verts, &mut vec![u32::MAX; g.n()], &mut MindegScratch::default());
+        let perm = crate::minimum_degree(&g);
         let want = reference::factor_ops(&g, &perm) as f64;
         assert_eq!(flops, want, "column-merge count must be exact");
     }

@@ -4,6 +4,12 @@
 //! adjacency graph of the matrix: both triangles, no self loops.
 
 use crate::SparsityPattern;
+use std::cell::Cell;
+
+thread_local! {
+    /// Graphs built on this thread, for tests that pin "one graph per analysis".
+    static BUILDS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Undirected adjacency lists in compressed form.
 #[derive(Debug, Clone)]
@@ -42,7 +48,34 @@ impl Graph {
         for v in 0..n {
             adj[adj_ptr[v]..adj_ptr[v + 1]].sort_unstable();
         }
+        BUILDS.with(|b| b.set(b.get() + 1));
         Self { adj_ptr, adj }
+    }
+
+    /// Wraps adjacency lists that are already in this type's form: `adj_ptr`
+    /// has `n + 1` monotone offsets into `adj`, every list is strictly
+    /// ascending without self loops, and every edge appears in both endpoint
+    /// lists. For callers that derive one graph from another (quotients,
+    /// induced subgraphs) and would otherwise round-trip through a pattern.
+    pub fn from_sorted_adjacency(adj_ptr: Vec<usize>, adj: Vec<u32>) -> Self {
+        let g = Self { adj_ptr, adj };
+        debug_assert_eq!(g.adj_ptr.last().copied(), Some(g.adj.len()));
+        debug_assert!((0..g.n()).all(|v| {
+            let nb = g.neighbors(v);
+            nb.windows(2).all(|w| w[0] < w[1])
+                && nb.iter().all(|&u| {
+                    u as usize != v && g.neighbors(u as usize).binary_search(&(v as u32)).is_ok()
+                })
+        }));
+        g
+    }
+
+    /// Number of [`Graph::from_pattern`] calls made on the current thread.
+    /// Test instrumentation: lets a test assert how many graphs one analysis
+    /// builds without threading a counter through every layer.
+    #[doc(hidden)]
+    pub fn builds_on_this_thread() -> u64 {
+        BUILDS.with(Cell::get)
     }
 
     /// Number of vertices.
@@ -71,44 +104,73 @@ impl Graph {
 
     /// Breadth-first search from `start` over vertices where `alive` is true.
     /// Returns `(visited_vertices_in_bfs_order, level_of_each_visited)`.
+    ///
+    /// Allocates a visited set per call; loops over many starts should hold
+    /// a [`BfsScratch`] and call [`Graph::bfs_with`] instead.
     pub fn bfs(&self, start: usize, alive: &[bool]) -> (Vec<u32>, Vec<u32>) {
+        let mut scratch = BfsScratch::default();
+        self.bfs_with(start, alive, usize::MAX, &mut scratch);
+        (scratch.order, scratch.level)
+    }
+
+    /// [`Graph::bfs`] into reusable scratch, stopping once `limit` vertices
+    /// have been reached (the result is then the first `limit` vertices of
+    /// the unbounded search). The visit order and levels are left in
+    /// `scratch.order` / `scratch.level`; the visited set is un-marked again
+    /// on the way out, so a search costs O(visited + their edges) no matter
+    /// how large the graph is.
+    pub fn bfs_with(&self, start: usize, alive: &[bool], limit: usize, scratch: &mut BfsScratch) {
         debug_assert!(alive[start]);
-        let mut order = Vec::new();
-        let mut level = Vec::new();
-        let mut seen = vec![false; self.n()];
+        scratch.enter(self.n());
+        let BfsScratch { seen, order, level } = scratch;
         seen[start] = true;
         order.push(start as u32);
         level.push(0u32);
         let mut head = 0;
-        while head < order.len() {
+        'search: while head < order.len() {
             let v = order[head] as usize;
             let lv = level[head];
             head += 1;
             for &w in self.neighbors(v) {
-                let w = w as usize;
-                if alive[w] && !seen[w] {
-                    seen[w] = true;
-                    order.push(w as u32);
+                if order.len() >= limit {
+                    break 'search;
+                }
+                if alive[w as usize] && !seen[w as usize] {
+                    seen[w as usize] = true;
+                    order.push(w);
                     level.push(lv + 1);
                 }
             }
         }
-        (order, level)
+        for &v in order.iter() {
+            seen[v as usize] = false;
+        }
     }
 
     /// Finds a pseudo-peripheral vertex of the component containing `start`
     /// (restricted to `alive` vertices) by repeated BFS, as in the
     /// Gibbs–Poole–Stockmeyer/George–Liu scheme.
     pub fn pseudo_peripheral(&self, start: usize, alive: &[bool]) -> usize {
-        let (order, levels) = self.bfs(start, alive);
-        let mut ecc = *levels.last().unwrap_or(&0);
-        let mut frontier_last = order[order.len() - 1] as usize;
+        self.pseudo_peripheral_with(start, alive, &mut BfsScratch::default())
+    }
+
+    /// [`Graph::pseudo_peripheral`] on reusable scratch. The search from the
+    /// returned vertex is the last one run, so `scratch` holds it on return.
+    pub fn pseudo_peripheral_with(
+        &self,
+        start: usize,
+        alive: &[bool],
+        scratch: &mut BfsScratch,
+    ) -> usize {
+        self.bfs_with(start, alive, usize::MAX, scratch);
+        let mut ecc = *scratch.level.last().unwrap_or(&0);
+        let mut frontier_last = scratch.order[scratch.order.len() - 1] as usize;
         loop {
-            let (order2, levels2) = self.bfs(frontier_last, alive);
-            let ecc2 = *levels2.last().unwrap_or(&0);
+            self.bfs_with(frontier_last, alive, usize::MAX, scratch);
+            let ecc2 = *scratch.level.last().unwrap_or(&0);
             if ecc2 > ecc {
                 ecc = ecc2;
-                frontier_last = order2[order2.len() - 1] as usize;
+                frontier_last = scratch.order[scratch.order.len() - 1] as usize;
             } else {
                 return frontier_last;
             }
@@ -116,20 +178,57 @@ impl Graph {
     }
 
     /// Connected components over `alive` vertices. Returns one representative
-    /// vertex list per component, each in BFS order.
+    /// vertex list per component, each in BFS order. One visited set serves
+    /// every component, so the whole search is O(n + m).
     pub fn components(&self, alive: &[bool]) -> Vec<Vec<u32>> {
         let mut seen = vec![false; self.n()];
         let mut comps = Vec::new();
         for s in 0..self.n() {
-            if alive[s] && !seen[s] {
-                let (order, _) = self.bfs(s, alive);
-                for &v in &order {
-                    seen[v as usize] = true;
-                }
-                comps.push(order);
+            if !alive[s] || seen[s] {
+                continue;
             }
+            seen[s] = true;
+            let mut order = vec![s as u32];
+            let mut head = 0;
+            while head < order.len() {
+                let v = order[head] as usize;
+                head += 1;
+                for &w in self.neighbors(v) {
+                    if alive[w as usize] && !seen[w as usize] {
+                        seen[w as usize] = true;
+                        order.push(w);
+                    }
+                }
+            }
+            comps.push(order);
         }
         comps
+    }
+}
+
+/// Reusable state for [`Graph::bfs_with`]: the visited set (all `false`
+/// between searches) and the result buffers of the latest search.
+#[derive(Debug, Default)]
+pub struct BfsScratch {
+    seen: Vec<bool>,
+    /// Vertices reached by the latest search, in visit order.
+    pub order: Vec<u32>,
+    /// BFS level of each entry of `order`.
+    pub level: Vec<u32>,
+}
+
+impl BfsScratch {
+    /// Grows the visited set to `n` vertices and clears the result buffers.
+    fn enter(&mut self, n: usize) {
+        debug_assert!(
+            self.seen.iter().all(|&s| !s),
+            "visited set must be clear between searches"
+        );
+        if self.seen.len() < n {
+            self.seen.resize(n, false);
+        }
+        self.order.clear();
+        self.level.clear();
     }
 }
 

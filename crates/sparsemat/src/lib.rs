@@ -29,7 +29,7 @@ pub mod perm;
 
 pub use csc::SymCscMatrix;
 pub use gen::Problem;
-pub use graph::Graph;
+pub use graph::{BfsScratch, Graph};
 pub use hb::read_harwell_boeing;
 pub use pattern::SparsityPattern;
 pub use perm::Permutation;
