@@ -1,27 +1,29 @@
 //! Row-major BLAS-3 style kernels.
 //!
-//! The public entry points keep the seed's shapes and semantics but dispatch
-//! on problem size: small blocks run the scalar kernels in [`reference`],
-//! larger ones go through the packed, register-tiled core in [`crate::pack`]
-//! (GEMM/SYRK) or through blocked panel algorithms (`potrf`, `trsm`) whose
-//! trailing updates are delegated to the packed core, so a `B = 48+` block
-//! column factors at BLAS-3 rather than BLAS-1 rates.
+//! The public entry points keep the seed's shapes and semantics. GEMM/SYRK
+//! dispatch on problem size: small blocks run the scalar kernels in
+//! [`reference`], larger ones the packed, register-tiled core in
+//! [`crate::pack`]. The triangular solve has one implementation — pack the
+//! rows into micro-panels, solve them eight rows per vector lane
+//! ([`crate::pack::trsm_packed`]), unpack — whatever the shape, so a row's
+//! bits never depend on how many rows were solved with it. Blocked `potrf`
+//! solves each sub-diagonal panel the same way and feeds the retained pack
+//! straight to the trailing SYRK.
 //!
 //! Every kernel has a `_with` variant taking an explicit [`KernelArena`];
 //! the plain variants use a per-thread default arena. The `_strided` variants
-//! operate on views into larger buffers (row stride ≥ logical width), which
-//! is what lets the fused BMOD path in the factorization executors write
-//! update products directly into the sparse destination block.
+//! operate on views into larger buffers (row stride ≥ logical width). The
+//! factorization executors do not come through here for their updates: they
+//! keep source blocks packed and call [`crate::pack`]'s prepacked products.
 
 use crate::arena::{KernelArena, PackBufs};
 use crate::pack::{self, Mode};
 use crate::NotPositiveDefinite;
 use std::cell::RefCell;
 
-/// Panel width of the blocked `potrf`/`trsm` algorithms. Matrices at most
-/// this large use the unblocked reference kernels directly. 32 keeps the
-/// scalar panel work (unblocked factor + forward substitution) small while
-/// the packed trailing updates still see a deep enough `k`.
+/// Panel width of the blocked `potrf`. Matrices at most this large use the
+/// unblocked reference kernel directly. 32 keeps the scalar panel factor
+/// small while the packed trailing updates still see a deep enough `k`.
 pub(crate) const NB: usize = 32;
 
 thread_local! {
@@ -43,40 +45,6 @@ pub fn with_default_arena<R>(f: impl FnOnce(&mut KernelArena) -> R) -> R {
 #[inline]
 fn packed_worthwhile(m: usize, n: usize, k: usize) -> bool {
     k >= 8 && m >= 8 && n >= 8 && m * n * k >= 8192
-}
-
-/// Panel forward substitution `X := X · L⁻ᵀ` on strided views, solving four
-/// rows of `X` per pass. The four dependence chains are independent and share
-/// every load of `L`, so the compiler can keep four accumulators live; this
-/// is the panel kernel of the blocked `potrf`/`trsm` (the row-at-a-time
-/// original stays in [`reference::trsm_lda`]).
-fn trsm_panel(l: &[f64], ldl: usize, n: usize, x: &mut [f64], ldx: usize, m: usize) {
-    let m4 = m - m % 4;
-    let mut i = 0;
-    while i < m4 {
-        let (r01, r23) = x[i * ldx..].split_at_mut(2 * ldx);
-        let (r0, r1) = r01.split_at_mut(ldx);
-        let (r2, r3) = r23.split_at_mut(ldx);
-        for j in 0..n {
-            let lj = &l[j * ldl..j * ldl + j];
-            let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
-            for (t, &lv) in lj.iter().enumerate() {
-                s0 -= r0[t] * lv;
-                s1 -= r1[t] * lv;
-                s2 -= r2[t] * lv;
-                s3 -= r3[t] * lv;
-            }
-            let inv = 1.0 / l[j * ldl + j];
-            r0[j] = s0 * inv;
-            r1[j] = s1 * inv;
-            r2[j] = s2 * inv;
-            r3[j] = s3 * inv;
-        }
-        i += 4;
-    }
-    if m4 < m {
-        reference::trsm_lda(l, ldl, n, &mut x[m4 * ldx..], ldx, m - m4);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -117,26 +85,15 @@ pub fn potrf_with(
             .map_err(|e| NotPositiveDefinite { pivot: k0 + e.pivot })?;
         let rem = n - k0 - nb;
         if rem > 0 {
-            let (w, packs) = arena.wbuf_with_packs(rem * nb);
-            // Copy the sub-diagonal panel A21 out, solve it against L11ᵀ and
-            // write it back: the contiguous copy decouples the borrow from
-            // the trailing update, which reads L21 while writing C22.
-            for r in 0..rem {
-                let src = (k0 + nb + r) * n + k0;
-                w[r * nb..(r + 1) * nb].copy_from_slice(&a[src..src + nb]);
-            }
-            trsm_panel(&a[k0 * n + k0..], n, nb, w, nb, rem);
-            for r in 0..rem {
-                let dst = (k0 + nb + r) * n + k0;
-                a[dst..dst + nb].copy_from_slice(&w[r * nb..(r + 1) * nb]);
-            }
-            // Trailing update C22 := C22 − L21·L21ᵀ at BLAS-3 rate.
-            let c22 = &mut a[(k0 + nb) * n + (k0 + nb)..];
-            if packed_worthwhile(rem, rem, nb) {
-                pack::syrk_lt_packed(Mode::Sub, c22, n, w, nb, rem, nb, packs);
-            } else {
-                reference::syrk_lt_lda(c22, n, w, nb, rem, nb);
-            }
+            // Pack the sub-diagonal panel A21 once: solve it against L11ᵀ on
+            // the micro-panels, write L21 back, and feed the same pack to the
+            // trailing update C22 := C22 − L21·L21ᵀ.
+            let a21 = (k0 + nb) * n + k0;
+            let xp = arena.panels_mut(pack::packed_len(rem, nb));
+            pack::pack_rows(xp, &a[a21..], n, rem, nb);
+            pack::trsm_packed(&a[k0 * n + k0..], n, nb, xp);
+            pack::unpack_rows(&mut a[a21..], n, xp, rem, nb);
+            pack::syrk_lt_prepacked(Mode::Sub, &mut a[a21 + nb..], n, xp, rem, nb);
         }
         k0 += nb;
     }
@@ -151,20 +108,15 @@ pub fn potrf_with(
 /// Cholesky factor of a diagonal block and `x` is row-major `m × n`.
 ///
 /// This is the `BDIV` primitive: each row of an off-diagonal block is solved
-/// against the diagonal block's factor. For factors wider than the internal
-/// panel size the solve proceeds panel by panel, folding the already-solved
-/// columns into the remaining right-hand side with the packed GEMM core.
+/// against the diagonal block's factor. Rows are independent and each sees
+/// the same operation sequence whatever `m` is, so splitting `x` by rows
+/// across several calls changes no bit of the result.
 pub fn trsm_right_lower_trans(l: &[f64], n: usize, x: &mut [f64], m: usize) {
-    assert_eq!(l.len(), n * n);
-    assert_eq!(x.len(), m * n);
-    if n <= NB || m == 0 {
-        reference::trsm_lda(l, n, n, x, n, m);
-    } else {
-        with_default_arena(|arena| trsm_right_lower_trans_with(l, n, x, m, arena));
-    }
+    with_default_arena(|arena| trsm_right_lower_trans_with(l, n, x, m, arena));
 }
 
-/// [`trsm_right_lower_trans`] with an explicit scratch arena.
+/// [`trsm_right_lower_trans`] with an explicit scratch arena. The packed
+/// solved rows are left in the arena's panels.
 pub fn trsm_right_lower_trans_with(
     l: &[f64],
     n: usize,
@@ -174,34 +126,10 @@ pub fn trsm_right_lower_trans_with(
 ) {
     assert_eq!(l.len(), n * n);
     assert_eq!(x.len(), m * n);
-    if n <= NB || m == 0 {
-        return reference::trsm_lda(l, n, n, x, n, m);
-    }
-    let mut j0 = 0;
-    while j0 < n {
-        let nb = (n - j0).min(NB);
-        // Solve the current column panel: X₁ := X₁ · L₁₁⁻ᵀ.
-        trsm_panel(&l[j0 * n + j0..], n, nb, &mut x[j0..], n, m);
-        let rem = n - j0 - nb;
-        if rem > 0 {
-            // Fold into the remaining columns: X₂ := X₂ − X₁·L₂₁ᵀ. The solved
-            // panel is copied out so source and destination (both in `x`)
-            // don't alias.
-            let (w, packs) = arena.wbuf_with_packs(m * nb);
-            for r in 0..m {
-                let src = r * n + j0;
-                w[r * nb..(r + 1) * nb].copy_from_slice(&x[src..src + nb]);
-            }
-            let l21 = &l[(j0 + nb) * n + j0..];
-            let xtail = &mut x[j0 + nb..];
-            if packed_worthwhile(m, rem, nb) {
-                pack::gemm_abt_packed(Mode::Sub, xtail, n, w, nb, l21, n, m, rem, nb, packs);
-            } else {
-                reference::gemm_abt_lda(xtail, n, w, nb, l21, n, m, rem, nb);
-            }
-        }
-        j0 += nb;
-    }
+    let xp = arena.panels_mut(pack::packed_len(m, n));
+    pack::pack_rows(xp, x, n, m, n);
+    pack::trsm_packed(l, n, n, xp);
+    pack::unpack_rows(x, n, xp, m, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -267,36 +195,6 @@ pub fn gemm_abt_sub_strided(
     }
 }
 
-/// `C := A·Bᵀ` (overwrite, no read of `C`) on strided views. Used to compute
-/// an update product into uninitialized scratch without a zeroing pass.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_abt_set_strided(
-    c: &mut [f64],
-    ldc: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    packs: &mut PackBufs,
-) {
-    if packed_worthwhile(m, n, k) {
-        pack::gemm_abt_packed(Mode::Set, c, ldc, a, lda, b, ldb, m, n, k, packs);
-    } else {
-        for r in 0..m {
-            c[r * ldc..r * ldc + n].fill(0.0);
-        }
-        reference::gemm_abt_lda(c, ldc, a, lda, b, ldb, m, n, k);
-        for r in 0..m {
-            for v in &mut c[r * ldc..r * ldc + n] {
-                *v = -*v;
-            }
-        }
-    }
-}
-
 /// Computes the lower triangle of `C := C − A·Aᵀ` with row-major `A (n × k)`
 /// and `C (n × n)`. This is the `BMOD` primitive when source and destination
 /// row blocks coincide (a symmetric rank-k update of a diagonal block).
@@ -331,31 +229,6 @@ pub fn syrk_lt_sub_strided(
         pack::syrk_lt_packed(Mode::Sub, c, ldc, a, lda, n, k, packs);
     } else {
         reference::syrk_lt_lda(c, ldc, a, lda, n, k);
-    }
-}
-
-/// Lower-triangle `C := A·Aᵀ` (overwrite) on strided views.
-pub fn syrk_lt_set_strided(
-    c: &mut [f64],
-    ldc: usize,
-    a: &[f64],
-    lda: usize,
-    n: usize,
-    k: usize,
-    packs: &mut PackBufs,
-) {
-    if packed_worthwhile(n, n, k) {
-        pack::syrk_lt_packed(Mode::Set, c, ldc, a, lda, n, k, packs);
-    } else {
-        for r in 0..n {
-            c[r * ldc..r * ldc + r + 1].fill(0.0);
-        }
-        reference::syrk_lt_lda(c, ldc, a, lda, n, k);
-        for r in 0..n {
-            for v in &mut c[r * ldc..r * ldc + r + 1] {
-                *v = -*v;
-            }
-        }
     }
 }
 
@@ -800,9 +673,9 @@ mod tests {
     }
 
     #[test]
-    fn blocked_trsm_matches_reference() {
-        let n = 130; // > NB: takes the panel + GEMM-update path
-        let m = 21;
+    fn wide_trsm_matches_reference() {
+        let n = 130;
+        let m = 21; // two full micro-panels and a ragged third
         let a = spd_test_matrix(n);
         let mut l = a.clone();
         potrf(&mut l, n).unwrap();
@@ -880,37 +753,6 @@ mod tests {
             }
             // Upper triangle untouched by syrk.
             assert_eq!(c1[n - 1], 1.0); // position (0, n-1): upper triangle
-        }
-    }
-
-    #[test]
-    fn set_strided_variants_match_sub_on_zero() {
-        // SET into garbage scratch must equal zero-then-SUB, for both the
-        // packed (large) and reference (small) dispatch arms.
-        let mut arena = KernelArena::new();
-        for (m, n, k) in [(4, 5, 3), (40, 40, 40)] {
-            let a: Vec<f64> = (0..m * k).map(|t| ((t % 31) as f64) * 0.1).collect();
-            let b: Vec<f64> = (0..n * k).map(|t| ((t % 29) as f64) * 0.2).collect();
-            let mut c_set = vec![f64::NAN; m * n];
-            gemm_abt_set_strided(&mut c_set, n, &a, k, &b, k, m, n, k, arena.packs());
-            let mut c_sub = vec![0.0; m * n];
-            gemm_abt_sub_strided(&mut c_sub, n, &a, k, &b, k, m, n, k, arena.packs());
-            for (s, z) in c_set.iter().zip(&c_sub) {
-                assert!((s - (-z)).abs() < 1e-11 * z.abs().max(1.0), "m={m} n={n} k={k}");
-            }
-        }
-        for (n, k) in [(5, 3), (40, 40)] {
-            let a: Vec<f64> = (0..n * k).map(|t| ((t % 37) as f64) * 0.1 - 1.0).collect();
-            let mut c_set = vec![f64::NAN; n * n];
-            syrk_lt_set_strided(&mut c_set, n, &a, k, n, k, arena.packs());
-            let mut c_sub = vec![0.0; n * n];
-            syrk_lt_sub_strided(&mut c_sub, n, &a, k, n, k, arena.packs());
-            for i in 0..n {
-                for j in 0..=i {
-                    let (s, z) = (c_set[i * n + j], c_sub[i * n + j]);
-                    assert!((s - (-z)).abs() < 1e-11 * z.abs().max(1.0), "n={n} k={k}");
-                }
-            }
         }
     }
 

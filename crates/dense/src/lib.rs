@@ -12,12 +12,13 @@
 //! contiguously, which makes `A·Bᵀ` a sequence of cache-friendly row dot
 //! products.
 
-//! Internally the kernels dispatch on problem size between the scalar
+//! Internally GEMM/SYRK dispatch on problem size between the scalar
 //! [`kernels::reference`] implementations and a Goto-style packed,
-//! register-tiled core ([`pack`]); `potrf` and `trsm_right_lower_trans` are
-//! blocked algorithms whose trailing updates run on that core. Scratch for
-//! packing and panel copies lives in a reusable [`KernelArena`] (the `_with`
-//! kernel variants take one explicitly; the plain variants use a per-thread
+//! register-tiled core ([`pack`]); `trsm_right_lower_trans` and the panel
+//! solves of blocked `potrf` run on the same micro-panels. Callers that reuse
+//! an operand pack it once and use [`pack`]'s prepacked entry points. All
+//! packing memory lives in a reusable [`KernelArena`] (the `_with` kernel
+//! variants take one explicitly; the plain variants use a per-thread
 //! default).
 
 pub mod arena;
@@ -25,10 +26,10 @@ pub mod kernels;
 pub mod mat;
 pub mod pack;
 
-pub use arena::{KernelArena, PackBufs};
+pub use arena::{KernelArena, PackBufs, Scratch};
 pub use kernels::{
-    gemm_abt_sub, gemm_abt_sub_strided, gemm_abt_sub_with, gemm_abt_set_strided, potrf,
-    potrf_with, syrk_lt_set_strided, syrk_lt_sub, syrk_lt_sub_strided, syrk_lt_sub_with,
+    gemm_abt_sub, gemm_abt_sub_strided, gemm_abt_sub_with, potrf, potrf_with, syrk_lt_sub,
+    syrk_lt_sub_strided, syrk_lt_sub_with,
     trsm_right_lower_trans, trsm_right_lower_trans_with, trsv_lower, trsv_lower_multi,
     trsv_lower_trans, trsv_lower_trans_multi,
     with_default_arena,

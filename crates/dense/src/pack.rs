@@ -20,6 +20,16 @@
 //! per-element accumulation order is identical to GEMM's (ascending `k`
 //! within each `KC` panel, panels in order), packed SYRK and packed GEMM
 //! produce bitwise-identical values on the lower triangle.
+//!
+//! `MR == NR`, so one packed form serves as either operand. Callers that
+//! reuse an operand across many products pack it once with [`pack_rows`] and
+//! multiply out of the retained panels with [`gemm_prepacked`] /
+//! [`syrk_lt_prepacked`]; [`trsm_packed`] solves `X := X·L⁻ᵀ` on the same
+//! panels, eight rows per vector lane, so a factored block column is packed
+//! once and stays kernel-ready for every update it sources. The prepacked
+//! products run the whole `k` extent as one panel: per element, an ascending-
+//! `k` FMA chain from zero and one write-back — exactly what
+//! [`gemm_abt_packed`] computes for `k ≤ KC`.
 
 use crate::arena::PackBufs;
 
@@ -27,6 +37,8 @@ use crate::arena::PackBufs;
 pub const MR: usize = 8;
 /// Register tile width (columns of `C` per microkernel call).
 pub const NR: usize = 8;
+// One packed form is both the `A` and the `B` operand.
+const _: () = assert!(MR == NR);
 /// Depth of one packed panel pair (shared `k` extent per blocking pass).
 pub const KC: usize = 256;
 /// Rows of `A` packed per inner pass (`MC·KC` doubles ≈ 256 KiB, sized for L2).
@@ -67,25 +79,60 @@ fn fmadd(a: f64, b: f64, acc: f64) -> f64 {
     }
 }
 
-/// Packs a `rows × kc` strided sub-matrix into `W`-wide micro-panels: panel
-/// `pi` holds rows `pi·W .. pi·W+W` interleaved as `kc` groups of `W`
-/// consecutive values, zero-padded when `rows` is not a multiple of `W`.
-fn pack_panels<const W: usize>(dst: &mut [f64], src: &[f64], ld: usize, rows: usize, kc: usize) {
-    let np = rows.div_ceil(W);
-    for pi in 0..np {
-        let panel = &mut dst[pi * kc * W..(pi + 1) * kc * W];
-        let h = (rows - pi * W).min(W);
+/// Doubles occupied by `rows` rows of `kc` columns in packed form (rows
+/// rounded up to whole micro-panels).
+#[inline]
+pub const fn packed_len(rows: usize, kc: usize) -> usize {
+    rows.div_ceil(MR) * MR * kc
+}
+
+/// Packs a `rows × kc` strided sub-matrix into `MR`-row micro-panels: panel
+/// `pi` holds rows `pi·MR .. pi·MR+MR` interleaved as `kc` groups of `MR`
+/// consecutive values, zero-padded when `rows` is not a multiple of `MR`.
+/// Fills the leading [`packed_len`]`(rows, kc)` doubles of `dst`.
+pub fn pack_rows(dst: &mut [f64], src: &[f64], ld: usize, rows: usize, kc: usize) {
+    if kc == 0 {
+        return;
+    }
+    for (pi, panel) in dst[..packed_len(rows, kc)].chunks_exact_mut(kc * MR).enumerate() {
+        let h = (rows - pi * MR).min(MR);
+        if h == MR {
+            // Full panel: walk the eight rows in step so each group of `MR`
+            // lanes is written with one contiguous store.
+            let r: [&[f64]; MR] =
+                std::array::from_fn(|r| &src[(pi * MR + r) * ld..(pi * MR + r) * ld + kc]);
+            for (p, group) in panel.chunks_exact_mut(MR).enumerate() {
+                for lane in 0..MR {
+                    group[lane] = r[lane][p];
+                }
+            }
+            continue;
+        }
         for r in 0..h {
-            let row = &src[(pi * W + r) * ld..(pi * W + r) * ld + kc];
+            let row = &src[(pi * MR + r) * ld..(pi * MR + r) * ld + kc];
             for (p, &v) in row.iter().enumerate() {
-                panel[p * W + r] = v;
+                panel[p * MR + r] = v;
             }
         }
-        if h < W {
-            for p in 0..kc {
-                for slot in &mut panel[p * W + h..(p + 1) * W] {
-                    *slot = 0.0;
-                }
+        for group in panel.chunks_exact_mut(MR) {
+            group[h..].fill(0.0);
+        }
+    }
+}
+
+/// Inverse of [`pack_rows`]: writes the `rows` real rows of the panels back
+/// to a strided row-major view. Padding lanes are never read, so whatever a
+/// kernel left in them cannot reach storage.
+pub fn unpack_rows(dst: &mut [f64], ld: usize, src: &[f64], rows: usize, kc: usize) {
+    if kc == 0 {
+        return;
+    }
+    for (pi, panel) in src[..packed_len(rows, kc)].chunks_exact(kc * MR).enumerate() {
+        let h = (rows - pi * MR).min(MR);
+        for r in 0..h {
+            let row = &mut dst[(pi * MR + r) * ld..(pi * MR + r) * ld + kc];
+            for (p, v) in row.iter_mut().enumerate() {
+                *v = panel[p * MR + r];
             }
         }
     }
@@ -277,10 +324,10 @@ pub fn gemm_abt_packed(
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
             let op = write_op(mode, pc == 0);
-            pack_panels::<NR>(bp, &b[jc * ldb + pc..], ldb, nc, kc);
+            pack_rows(bp, &b[jc * ldb + pc..], ldb, nc, kc);
             for ic in (0..m).step_by(MC) {
                 let mc = (m - ic).min(MC);
-                pack_panels::<MR>(ap, &a[ic * lda + pc..], lda, mc, kc);
+                pack_rows(ap, &a[ic * lda + pc..], lda, mc, kc);
                 macro_kernel(&mut c[ic * ldc + jc..], ldc, mc, nc, kc, ap, bp, op, None);
             }
         }
@@ -329,13 +376,13 @@ pub fn syrk_lt_packed(
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
             let op = write_op(mode, pc == 0);
-            pack_panels::<NR>(bp, &a[jc * lda + pc..], lda, nc, kc);
+            pack_rows(bp, &a[jc * lda + pc..], lda, nc, kc);
             // Row blocks start at the column panel: everything above the
             // diagonal contributes nothing to the lower triangle.
             let mut ic = jc;
             while ic < n {
                 let mc = (n - ic).min(MC);
-                pack_panels::<MR>(ap, &a[ic * lda + pc..], lda, mc, kc);
+                pack_rows(ap, &a[ic * lda + pc..], lda, mc, kc);
                 macro_kernel(
                     &mut c[ic * ldc + jc..],
                     ldc,
@@ -350,6 +397,120 @@ pub fn syrk_lt_packed(
                 ic += MC;
             }
         }
+    }
+}
+
+/// `C := C ∓ A·Bᵀ` out of operands already in [`pack_rows`] form: `ap` holds
+/// `m` rows and `bp` holds `n` rows of `k` columns each. `c` is an `m × n`
+/// view with row stride `ldc`. No packing, no scratch.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_prepacked(
+    mode: Mode,
+    c: &mut [f64],
+    ldc: usize,
+    ap: &[f64],
+    bp: &[f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(ldc >= n && c.len() >= (m - 1) * ldc + n, "c view too small");
+    assert!(ap.len() >= packed_len(m, k) && bp.len() >= packed_len(n, k), "pack too small");
+    macro_kernel(c, ldc, m, n, k, ap, bp, write_op(mode, true), None);
+}
+
+/// Lower triangle of `C := C ∓ A·Aᵀ` out of one [`pack_rows`] operand of `n`
+/// rows × `k` columns. The strict upper triangle of `c` is never touched.
+pub fn syrk_lt_prepacked(mode: Mode, c: &mut [f64], ldc: usize, ap: &[f64], n: usize, k: usize) {
+    if n == 0 {
+        return;
+    }
+    assert!(ldc >= n && c.len() >= (n - 1) * ldc + n, "c view too small");
+    assert!(ap.len() >= packed_len(n, k), "pack too small");
+    macro_kernel(c, ldc, n, n, k, ap, ap, write_op(mode, true), Some((0, 0)));
+}
+
+/// Forward substitution on `G` consecutive micro-panels at once. Each lane
+/// is one row of `X`; the `G` dependence chains are independent and share
+/// every load of `L`. Columns are solved two at a time so each load of a
+/// solved `x[t]` feeds both chains; per lane the operations are still the
+/// plain ascending-`t` sequence `s −= x[t]·l[j][t]`, then `s · (1/l[j][j])`.
+#[inline(always)]
+fn solve_panels<const G: usize>(l: &[f64], ldl: usize, n: usize, xp: &mut [f64]) {
+    let plen = n * MR;
+    assert_eq!(xp.len(), G * plen);
+    let lane = |xp: &[f64], g: usize, t: usize| -> [f64; MR] {
+        xp[g * plen + t * MR..g * plen + t * MR + MR].try_into().unwrap()
+    };
+    let mut j = 0;
+    while j < n {
+        let pair = j + 1 < n;
+        let l0 = &l[j * ldl..j * ldl + j + 1];
+        // The odd last column runs the pair code with a second accumulator
+        // that starts at zero and is dropped.
+        let l1 = if pair { &l[(j + 1) * ldl..(j + 1) * ldl + j + 2] } else { l0 };
+        let mut s0: [[f64; MR]; G] = std::array::from_fn(|g| lane(xp, g, j));
+        let mut s1: [[f64; MR]; G] =
+            std::array::from_fn(|g| if pair { lane(xp, g, j + 1) } else { [0.0; MR] });
+        for t in 0..j {
+            let (a, b) = (l0[t], l1[t]);
+            for g in 0..G {
+                let x = lane(xp, g, t);
+                for r in 0..MR {
+                    s0[g][r] = fmadd(-x[r], a, s0[g][r]);
+                    s1[g][r] = fmadd(-x[r], b, s1[g][r]);
+                }
+            }
+        }
+        let inv0 = 1.0 / l0[j];
+        for g in 0..G {
+            for v in &mut s0[g] {
+                *v *= inv0;
+            }
+            xp[g * plen + j * MR..g * plen + j * MR + MR].copy_from_slice(&s0[g]);
+        }
+        if pair {
+            let (c, inv1) = (l1[j], 1.0 / l1[j + 1]);
+            for g in 0..G {
+                for r in 0..MR {
+                    s1[g][r] = fmadd(-s0[g][r], c, s1[g][r]) * inv1;
+                }
+                xp[g * plen + (j + 1) * MR..g * plen + (j + 2) * MR].copy_from_slice(&s1[g]);
+            }
+        }
+        j += 2;
+    }
+}
+
+/// Solves `X := X · L⁻ᵀ` in place on `X` in [`pack_rows`] form (`xp` holds
+/// whole micro-panels of `n` columns): `l` is the `n × n` lower-triangular
+/// factor with row stride `ldl`.
+///
+/// Four panels are solved together so the FMA chains overlap, but every
+/// operation is lane-wise: a row's result depends only on that row and `L`,
+/// never on which rows share its panel or how panels are grouped into
+/// calls. Solving a block column whole, block by block, or panel by panel
+/// gives the same bits.
+pub fn trsm_packed(l: &[f64], ldl: usize, n: usize, xp: &mut [f64]) {
+    if n == 0 {
+        return;
+    }
+    assert!(ldl >= n && l.len() >= (n - 1) * ldl + n, "l view too small");
+    let plen = n * MR;
+    assert_eq!(xp.len() % plen, 0, "xp must hold whole micro-panels");
+    let mut groups = xp.chunks_exact_mut(4 * plen);
+    for group in &mut groups {
+        solve_panels::<4>(l, ldl, n, group);
+    }
+    let tail = groups.into_remainder();
+    match tail.len() / plen {
+        3 => solve_panels::<3>(l, ldl, n, tail),
+        2 => solve_panels::<2>(l, ldl, n, tail),
+        1 => solve_panels::<1>(l, ldl, n, tail),
+        _ => {}
     }
 }
 

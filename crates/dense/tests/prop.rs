@@ -296,8 +296,9 @@ mod packed {
         }
     }
 
-    /// Blocked POTRF/TRSM agree with the scalar reference across the panel
-    /// width NB — sizes below, at, and well above the blocking threshold.
+    /// Blocked POTRF agrees with the scalar reference across its panel width
+    /// NB — sizes below, at, and well above the blocking threshold — and so
+    /// does the packed TRSM against factors of those sizes.
     #[test]
     fn blocked_potrf_and_trsm_match_reference() {
         let mut arena = KernelArena::new();
@@ -328,6 +329,163 @@ mod packed {
                     );
                 }
             }
+        }
+    }
+
+    /// The packed solve against the scalar oracle on every shape the
+    /// executors can produce: widths below one micro-panel, row counts that
+    /// are not multiples of `MR`, empty blocks.
+    #[test]
+    fn packed_trsm_matches_reference_for_all_shapes() {
+        let mut arena = KernelArena::new();
+        for n in 1..=64 {
+            let mut l = spd(n);
+            reference::potrf(&mut l, n).unwrap();
+            for m in 0..=70 {
+                let x0 = filled(m * n, (n * 100 + m) as u64);
+                let mut x_ref = x0.clone();
+                reference::trsm_lda(&l, n, n, &mut x_ref, n, m);
+                let mut x = x0.clone();
+                kernels::trsm_right_lower_trans_with(&l, n, &mut x, m, &mut arena);
+                let scale = x_ref.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+                for i in 0..m * n {
+                    assert!((x[i] - x_ref[i]).abs() <= 1e-12 * scale, "n={n} m={m} idx={i}");
+                }
+            }
+        }
+    }
+
+    /// A row's solved bits depend on that row and `L` only: solving the
+    /// panels one at a time, four at a time or all at once, or splitting the
+    /// rows into blocks at arbitrary (non-`MR`) boundaries, changes nothing.
+    /// This is what lets one executor solve a block column whole and another
+    /// block by block and still agree bit for bit.
+    #[test]
+    fn packed_trsm_is_independent_of_row_grouping() {
+        let mut arena = KernelArena::new();
+        for (n, m) in [(5, 70), (8, 64), (31, 43), (48, 131), (64, 9)] {
+            let mut l = spd(n);
+            reference::potrf(&mut l, n).unwrap();
+            let x0 = filled(m * n, (n + m) as u64);
+            let plen = n * MR;
+            let mut whole = vec![0.0; pack::packed_len(m, n)];
+            pack::pack_rows(&mut whole, &x0, n, m, n);
+            let packed = whole.clone();
+            pack::trsm_packed(&l, n, n, &mut whole);
+            for group in [1, 4] {
+                let mut xp = packed.clone();
+                for chunk in xp.chunks_mut(group * plen) {
+                    pack::trsm_packed(&l, n, n, chunk);
+                }
+                assert!(
+                    xp.iter().zip(&whole).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "n={n} m={m} group={group}"
+                );
+            }
+            // Through the strided entry point: whole, then in ragged blocks.
+            let mut x_whole = x0.clone();
+            kernels::trsm_right_lower_trans_with(&l, n, &mut x_whole, m, &mut arena);
+            let mut x_blocks = x0.clone();
+            let mut r0 = 0;
+            for rows in [3usize, 8, 1, 13, 17, 5].iter().cycle() {
+                let r = (*rows).min(m - r0);
+                kernels::trsm_right_lower_trans_with(
+                    &l, n, &mut x_blocks[r0 * n..(r0 + r) * n], r, &mut arena,
+                );
+                r0 += r;
+                if r0 == m {
+                    break;
+                }
+            }
+            assert!(
+                x_blocks.iter().zip(&x_whole).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "n={n} m={m} ragged blocks"
+            );
+            let mut unpacked = vec![0.0; m * n];
+            pack::unpack_rows(&mut unpacked, n, &whole, m, n);
+            assert!(unpacked.iter().zip(&x_whole).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    /// Products out of caller-owned panels are the strided packed kernels'
+    /// bits exactly, on the shapes the executors use (blocks of at most one
+    /// nominal panel, `k` = a column width).
+    #[test]
+    fn prepacked_products_are_bit_equal_to_packed() {
+        let dims = [1, 2, 7, 8, 9, 15, 16, 17, 24, 31, 33, 40, 47, 48];
+        let mut arena = KernelArena::new();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [1, 7, 8, 48] {
+            for &m in &dims {
+                let a = filled(m * k, (m * k) as u64);
+                let mut ap = vec![0.0; pack::packed_len(m, k)];
+                pack::pack_rows(&mut ap, &a, k, m, k);
+                for &n in &dims {
+                    let b = filled(n * k, (n + k) as u64);
+                    let mut bp = vec![0.0; pack::packed_len(n, k)];
+                    pack::pack_rows(&mut bp, &b, k, n, k);
+                    let ldc = n + 3;
+                    let c0 = filled(m * ldc, 21);
+                    for mode in [Mode::Sub, Mode::Set] {
+                        let (mut c, mut c_pre) = (c0.clone(), c0.clone());
+                        pack::gemm_abt_packed(
+                            mode, &mut c, ldc, &a, k, &b, k, m, n, k, arena.packs(),
+                        );
+                        pack::gemm_prepacked(mode, &mut c_pre, ldc, &ap, &bp, m, n, k);
+                        assert_eq!(bits(&c_pre), bits(&c), "gemm {mode:?} m={m} n={n} k={k}");
+                    }
+                }
+                let ldc = m + 2;
+                let c0 = filled(m * ldc, 22);
+                for mode in [Mode::Sub, Mode::Set] {
+                    let (mut c, mut c_pre) = (c0.clone(), c0.clone());
+                    pack::syrk_lt_packed(mode, &mut c, ldc, &a, k, m, k, arena.packs());
+                    pack::syrk_lt_prepacked(mode, &mut c_pre, ldc, &ap, m, k);
+                    assert_eq!(bits(&c_pre), bits(&c), "syrk {mode:?} n={m} k={k}");
+                }
+            }
+        }
+    }
+
+    /// Padding lanes never reach storage: poison them with NaN after
+    /// packing, run every packed kernel over the panels, and no NaN comes
+    /// out — nor is anything outside the real rows written.
+    #[test]
+    fn nan_poisoned_padding_never_reaches_storage() {
+        for (rows, kc) in [(1, 1), (3, 5), (8, 8), (11, 7), (21, 48), (47, 16)] {
+            let src = filled(rows * kc, (rows * kc) as u64);
+            let mut xp = vec![0.0; pack::packed_len(rows, kc)];
+            pack::pack_rows(&mut xp, &src, kc, rows, kc);
+            let h = rows % MR;
+            if h != 0 {
+                let last = xp.len() - kc * MR;
+                for group in xp[last..].chunks_exact_mut(MR) {
+                    group[h..].fill(f64::NAN);
+                }
+            }
+            // Round trip into a wider, sentinel-filled view.
+            let ld = kc + 2;
+            let mut back = vec![-7.0; (rows + 1) * ld];
+            pack::unpack_rows(&mut back, ld, &xp, rows, kc);
+            for r in 0..rows {
+                assert_eq!(back[r * ld..r * ld + kc], src[r * kc..(r + 1) * kc]);
+                assert_eq!(back[r * ld + kc..(r + 1) * ld], [-7.0; 2]);
+            }
+            assert!(back[rows * ld..].iter().all(|&v| v == -7.0), "row past the end written");
+            // Products out of the poisoned pack.
+            let mut c = vec![1.0; rows * rows];
+            pack::gemm_prepacked(Mode::Sub, &mut c, rows, &xp, &xp, rows, rows, kc);
+            assert!(c.iter().all(|v| v.is_finite()), "gemm rows={rows} kc={kc}");
+            let mut c = vec![1.0; rows * rows];
+            pack::syrk_lt_prepacked(Mode::Set, &mut c, rows, &xp, rows, kc);
+            assert!(c.iter().all(|v| v.is_finite()), "syrk rows={rows} kc={kc}");
+            // The solve keeps poison in its own lane.
+            let mut l = spd(kc);
+            reference::potrf(&mut l, kc).unwrap();
+            pack::trsm_packed(&l, kc, kc, &mut xp);
+            let mut solved = vec![0.0; rows * kc];
+            pack::unpack_rows(&mut solved, kc, &xp, rows, kc);
+            assert!(solved.iter().all(|v| v.is_finite()), "trsm rows={rows} kc={kc}");
         }
     }
 

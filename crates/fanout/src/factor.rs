@@ -242,26 +242,29 @@ impl NumericFactor {
         col_ptr.resize(n + 1, 0);
         row_idx.clear();
         values.clear();
-        for j in 0..n {
-            let pj = bm.partition.panel_of_col[j] as usize;
+        let stored = bm.stored_elements() as usize;
+        row_idx.reserve(stored);
+        values.reserve(stored);
+        for pj in 0..bm.num_panels() {
             let c = bm.col_width(pj);
-            let col_off = j - bm.partition.cols(pj).start;
-            for (b, blk) in bm.cols[pj].blocks.iter().enumerate() {
-                if b == 0 {
-                    for r in col_off..c {
-                        row_idx.push((bm.partition.cols(pj).start + r) as u32);
-                        values.push(self.block(pj, 0)[r * c + col_off]);
-                    }
-                } else {
-                    let rows = bm.block_rows(pj, blk);
-                    let buf = self.block(pj, b);
-                    for (r, &gi) in rows.iter().enumerate() {
-                        row_idx.push(gi);
-                        values.push(buf[r * c + col_off]);
-                    }
+            let start = bm.partition.cols(pj).start;
+            let col = &bm.cols[pj];
+            // The blocks cut one contiguous run of the supernode's rows, and
+            // their buffers are concatenated in the same order: below the
+            // diagonal block the panel is one dense `rows × c` matrix.
+            let (diag, below) = self.data[pj].split_at(c * c);
+            let (first, last) = (col.blocks[0], col.blocks[col.blocks.len() - 1]);
+            let below_rows = &bm.sn.rows[col.sn as usize][first.hi as usize..last.hi as usize];
+            assert_eq!(below.len(), below_rows.len() * c, "panel {pj}: rows vs storage");
+            for col_off in 0..c {
+                for r in col_off..c {
+                    row_idx.push((start + r) as u32);
+                    values.push(diag[r * c + col_off]);
                 }
+                row_idx.extend_from_slice(below_rows);
+                values.extend(below.chunks_exact(c).map(|row| row[col_off]));
+                col_ptr[start + col_off + 1] = row_idx.len();
             }
-            col_ptr[j + 1] = row_idx.len();
         }
     }
 
@@ -439,6 +442,26 @@ mod tests {
         });
         assert_eq!(bmod, want_bmod);
         assert!(bfac > 0 && bdiv > 0 && bmod > 0);
+    }
+
+    #[test]
+    fn to_csc_agrees_with_entry_lookup() {
+        // Every stored position, once, with the value `get` finds there.
+        for (k, bs) in [(6, 3), (9, 48)] {
+            let (bm, a) = build(k, bs);
+            let mut f = NumericFactor::from_matrix(bm.clone(), &a);
+            for (t, v) in f.data.iter_mut().flatten().enumerate() {
+                *v = t as f64 + 0.5;
+            }
+            let (cp, ri, vals) = f.to_csc();
+            assert_eq!(ri.len() as u64, bm.stored_elements());
+            for j in 0..a.n() {
+                for e in cp[j]..cp[j + 1] {
+                    let i = ri[e] as usize;
+                    assert_eq!(vals[e], f.get(i, j), "k={k} bs={bs} ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,17 +37,22 @@
 //! The result is **bit-identical** to [`crate::seq::factorize_seq`]:
 //! updates into each destination block are applied sequentially in
 //! ascending source-column order (the cursor enforces the sequential
-//! executor's summation order), and column completion reuses
-//! `factor_column_buf` verbatim — including the single whole-column `TRSM`,
-//! whose kernel-path selection depends on the row count and would otherwise
-//! diverge in the last bits under FMA contraction.
+//! executor's summation order) through the same `apply_bmod` on operands
+//! packed by the same `pack_rows` — here per task, into the worker's own
+//! arena, where the sequential driver slices one retained column pack — and
+//! column completion reuses `factor_column_buf` verbatim. The packed
+//! triangular solve is lane-wise (a row's bits depend on that row and the
+//! diagonal block only), so solving the column whole is a convenience, not a
+//! numerical requirement.
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::critpath::block_levels;
 use crate::factor::NumericFactor;
 use crate::faults::{Fault, FaultPlan};
 use crate::plan::Plan;
-use crate::seq::{apply_bmod, factor_column_buf, factor_column_buf_perturb};
+use crate::seq::{
+    apply_bmod, factor_column_buf, factor_column_buf_perturb, max_column_pack_len, pack_sources,
+};
 use crate::{Error, StallReport};
 use blockmat::BlockMatrix;
 use crossbeam::deque::{Steal, Stealer, Worker as Deque};
@@ -303,6 +308,7 @@ pub fn factorize_sched_opts(
         .max()
         .unwrap_or(0)
         .max(bm.partition.max_width());
+    let max_pack = max_column_pack_len(&bm);
 
     // An already-expired deadline (zero, or a caller-computed remainder
     // that ran out) must cancel deterministically even when the run would
@@ -327,7 +333,7 @@ pub fn factorize_sched_opts(
             let shared = &shared;
             handles.push(scope.spawn(move || {
                 let mut arena = KernelArena::new();
-                arena.preallocate(max_dim);
+                arena.preallocate(max_dim, max_pack);
                 let mut ctx = WorkerCtx {
                     me,
                     shared,
@@ -1101,18 +1107,21 @@ impl WorkerCtx<'_> {
             // SAFETY: column k is published — read-only from here on.
             let a_buf = unsafe { s.block_ref(k, a) };
             let b_buf = unsafe { s.block_ref(k, bb) };
+            let c_k = s.bm.col_width(k);
+            let (ap, bp, scratch) =
+                pack_sources(&mut self.arena, a_buf, blk_a.nrows(), b_buf, blk_b.nrows(), c_k);
             apply_bmod(
                 s.bm,
                 dest,
                 blk_a.row_panel as usize,
                 blk_b.row_panel as usize,
                 b,
-                a_buf,
+                ap,
                 s.bm.block_rows(k, &blk_a),
-                b_buf,
+                bp,
                 s.bm.block_rows(k, &blk_b),
-                s.bm.col_width(k),
-                &mut self.arena,
+                c_k,
+                scratch,
             );
             cur += 1;
             self.stats.bmods += 1;

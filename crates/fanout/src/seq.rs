@@ -5,11 +5,11 @@ use crate::cancel::{CancelReason, CancelToken};
 use crate::factor::NumericFactor;
 use crate::{Error, StallReport};
 use blockmat::BlockMatrix;
-use dense::kernels::{
-    gemm_abt_set_strided, gemm_abt_sub_strided, potrf_with, syrk_lt_set_strided,
-    syrk_lt_sub_strided, trsm_right_lower_trans_with,
+use dense::kernels::potrf_with;
+use dense::pack::{
+    gemm_prepacked, pack_rows, packed_len, syrk_lt_prepacked, trsm_packed, unpack_rows, Mode,
 };
-use dense::KernelArena;
+use dense::{KernelArena, Scratch};
 use std::time::Instant;
 use trace::{TaskKind, Trace, TraceEvent, TraceOpts};
 
@@ -130,7 +130,7 @@ pub fn factorize_seq_with_arena(
         }
         let t0 = if tracing { epoch.elapsed().as_secs_f64() } else { 0.0 };
         match opts.perturb_npd {
-            None => factor_block_column(f, &bm, k, arena)?,
+            None => factor_column_buf(&mut f.data[k], &bm, k, arena)?,
             Some(tau) => {
                 let cols = factor_column_buf_perturb(&mut f.data[k], &bm, k, arena, tau)?;
                 stats.perturbed_pivots.extend(cols);
@@ -139,20 +139,33 @@ pub fn factorize_seq_with_arena(
         if tracing {
             stamp(&mut events, TaskKind::Bfac, k, t0);
         }
-        // Right-looking updates out of column k.
-        let (head, tail) = f.data.split_at_mut(k + 1);
-        let src_col = &head[k];
+        // Right-looking updates out of column k, every operand a slice of
+        // the column pack `factor_column_buf` left in the arena: block `b`'s
+        // panels start where the panels of blocks `1..b` end.
+        let tail = &mut f.data[k + 1..];
         let offsets = &f.offsets;
         let blocks = &bm.cols[k].blocks;
         let c_k = bm.col_width(k);
+        let (pack, scratch) = arena.panels_and_scratch();
+        let mut off_b = 0;
         for b in 1..blocks.len() {
-            for a in b..blocks.len() {
-                let dest_j = blocks[b].row_panel as usize;
-                let dest_i = blocks[a].row_panel as usize;
-                let di = bm
-                    .find_block(dest_i, dest_j)
+            let dest_j = blocks[b].row_panel as usize;
+            let dest_blocks = &bm.cols[dest_j].blocks;
+            let dest_buf_all = &mut tail[dest_j - k - 1];
+            let bp = &pack[off_b..off_b + packed_len(blocks[b].nrows(), c_k)];
+            let b_rows = bm.block_rows(k, &blocks[b]);
+            // `blocks[a].row_panel` ascends with `a` and so do the
+            // destination column's blocks: one cursor finds them all.
+            let mut di = 0;
+            let mut off_a = off_b;
+            for blk_a in &blocks[b..] {
+                let dest_i = blk_a.row_panel as usize;
+                di += dest_blocks[di..]
+                    .iter()
+                    .position(|d| d.row_panel as usize == dest_i)
                     .expect("BMOD destination exists");
-                let dest_buf_all = &mut tail[dest_j - k - 1];
+                let ap = &pack[off_a..off_a + packed_len(blk_a.nrows(), c_k)];
+                off_a += ap.len();
                 let lo = offsets[dest_j][di];
                 let hi = offsets[dest_j]
                     .get(di + 1)
@@ -165,17 +178,18 @@ pub fn factorize_seq_with_arena(
                     dest_i,
                     dest_j,
                     di,
-                    &src_col[offsets[k][a]..],
-                    bm.block_rows(k, &blocks[a]),
-                    &src_col[offsets[k][b]..],
-                    bm.block_rows(k, &blocks[b]),
+                    ap,
+                    bm.block_rows(k, blk_a),
+                    bp,
+                    b_rows,
                     c_k,
-                    arena,
+                    scratch,
                 );
                 if tracing {
                     stamp(&mut events, TaskKind::Bmod, dest_j, t0);
                 }
             }
+            off_b += bp.len();
         }
     }
     if tracing {
@@ -184,23 +198,33 @@ pub fn factorize_seq_with_arena(
     Ok(stats)
 }
 
-/// `BFAC` on the diagonal block of column `k`, then `BDIV` on each of its
-/// off-diagonal blocks. Requires all `BMOD`s into column `k` to be applied.
-pub(crate) fn factor_block_column(
-    f: &mut NumericFactor,
-    bm: &BlockMatrix,
-    k: usize,
-    arena: &mut KernelArena,
-) -> Result<(), Error> {
-    factor_column_buf(&mut f.data[k], bm, k, arena)
+/// Doubles in the kernel-ready pack of column `k`'s off-diagonal blocks:
+/// each block's rows rounded up to whole micro-panels, `col_width(k)` deep.
+pub(crate) fn column_pack_len(bm: &BlockMatrix, k: usize) -> usize {
+    let c = bm.col_width(k);
+    bm.cols[k].blocks.iter().skip(1).map(|b| packed_len(b.nrows(), c)).sum()
 }
 
-/// [`factor_block_column`] on a raw column buffer (diagonal block followed by
-/// the concatenated off-diagonal blocks). Shared verbatim with the
-/// work-stealing scheduler so parallel completion performs *exactly* the
-/// kernel call sequence of the sequential factorization — the single
-/// whole-column `TRSM` included — which is what makes the two factors
-/// bit-identical.
+/// The longest [`column_pack_len`] of the structure — what a worker's
+/// [`KernelArena::preallocate`] must cover to factor any column without
+/// growing.
+pub(crate) fn max_column_pack_len(bm: &BlockMatrix) -> usize {
+    (0..bm.num_panels()).map(|k| column_pack_len(bm, k)).max().unwrap_or(0)
+}
+
+/// `BFAC` on the diagonal block of column `k`, then `BDIV` on all of its
+/// off-diagonal blocks, on a raw column buffer (diagonal block followed by
+/// the concatenated off-diagonal blocks). Requires all `BMOD`s into column
+/// `k` to be applied.
+///
+/// Leaves the column's **pack** in the arena's panels: the solved
+/// off-diagonal blocks in micro-panel form, block after block, each padded
+/// to whole panels ([`column_pack_len`] doubles). It is the operand of every
+/// `BMOD` the column sources, valid until the arena's next packed solve.
+///
+/// Shared verbatim by every column-at-a-time executor; the packed solve is
+/// lane-wise, so an executor that solves block by block instead
+/// (`trsm_right_lower_trans_with` per block) produces the same bits.
 pub(crate) fn factor_column_buf(
     col: &mut [f64],
     bm: &BlockMatrix,
@@ -208,25 +232,46 @@ pub(crate) fn factor_column_buf(
     arena: &mut KernelArena,
 ) -> Result<(), Error> {
     let c = bm.col_width(k);
-    let nblk = bm.cols[k].blocks.len();
     let (diag, rest) = col.split_at_mut(c * c);
     potrf_with(diag, c, arena).map_err(|e| Error::NotPositiveDefinite {
         col: bm.partition.cols(k).start + e.pivot,
     })?;
-    if nblk > 1 {
-        // All off-diagonal blocks are contiguous after the diagonal block;
-        // solve them in one call (their total row count × c).
-        let m = rest.len() / c;
-        trsm_right_lower_trans_with(diag, c, rest, m, arena);
-    }
+    solve_column(diag, rest, bm, k, arena);
     Ok(())
 }
 
-/// [`factor_column_buf`] with NPD graceful degradation: a failing pivot is
-/// boosted by `tau · (1 + |aₖₖ|)` (grown geometrically on repeated failure
-/// at the same pivot) and the diagonal block is refactored from a pristine
-/// copy until `POTRF` succeeds. Returns the perturbed global columns,
-/// ascending.
+/// The `BDIV` half of [`factor_column_buf`]: packs the off-diagonal blocks
+/// (`rest`, concatenated row-major) into the arena's panels, solves them
+/// there against the factored `diag`, and writes the solved rows back.
+fn solve_column(
+    diag: &[f64],
+    rest: &mut [f64],
+    bm: &BlockMatrix,
+    k: usize,
+    arena: &mut KernelArena,
+) {
+    let c = bm.col_width(k);
+    let blocks = &bm.cols[k].blocks;
+    let pack = arena.panels_mut(column_pack_len(bm, k));
+    // (offset in `rest`, offset in `pack`, rows) of every off-diagonal block.
+    let spans = blocks.iter().skip(1).scan((0, 0), |(src, dst), blk| {
+        let span = (*src, *dst, blk.nrows());
+        *src += blk.nrows() * c;
+        *dst += packed_len(blk.nrows(), c);
+        Some(span)
+    });
+    for (src, dst, r) in spans.clone() {
+        pack_rows(&mut pack[dst..], &rest[src..], c, r, c);
+    }
+    trsm_packed(diag, c, c, pack);
+    for (src, dst, r) in spans {
+        unpack_rows(&mut rest[src..], c, &pack[dst..], r, c);
+    }
+}
+
+/// [`factor_column_buf`] with NPD graceful degradation ([`potrf_perturbed`]
+/// on the diagonal block). Returns the perturbed global columns, ascending.
+/// The `BDIV` half is the same call, so the same column pack is left behind.
 ///
 /// Shared by the sequential reference and the work-stealing scheduler's
 /// column-completion task, so the degraded factor is the same whichever
@@ -239,28 +284,35 @@ pub(crate) fn factor_column_buf_perturb(
     tau: f64,
 ) -> Result<Vec<usize>, Error> {
     let c = bm.col_width(k);
-    let nblk = bm.cols[k].blocks.len();
+    let (diag, rest) = col.split_at_mut(c * c);
+    let cols = potrf_perturbed(diag, c, bm.partition.cols(k).start, arena, tau)?;
+    solve_column(diag, rest, bm, k, arena);
+    Ok(cols)
+}
+
+/// `BFAC` that perturbs instead of failing: a non-positive pivot of the
+/// `c × c` block `diag` (global columns from `col_start`) is boosted by
+/// `tau · (1 + |aₖₖ|)` (grown geometrically on repeated failure at the same
+/// pivot) and the block is refactored from a pristine copy until `POTRF`
+/// succeeds. Returns the perturbed global columns, ascending.
+fn potrf_perturbed(
+    diag: &mut [f64],
+    c: usize,
+    col_start: usize,
+    arena: &mut KernelArena,
+    tau: f64,
+) -> Result<Vec<usize>, Error> {
     let tau = tau.abs().max(f64::EPSILON);
-    let saved: Vec<f64> = col[..c * c].to_vec();
+    let saved: Vec<f64> = diag.to_vec();
     // Per-pivot boost applied so far (block-local pivot index).
     let mut boosts: Vec<(usize, f64)> = Vec::new();
-    let col_start = bm.partition.cols(k).start;
     // ~35 geometric (×1024) boosts cover any finite deficit per pivot; past
     // the bound the input is non-finite (NaN/Inf) and perturbation cannot
     // help.
     let max_rounds = 64 * c.max(1);
     for _ in 0..max_rounds {
-        let res = {
-            let (diag, _) = col.split_at_mut(c * c);
-            potrf_with(diag, c, arena)
-        };
-        match res {
+        match potrf_with(diag, c, arena) {
             Ok(()) => {
-                let (diag, rest) = col.split_at_mut(c * c);
-                if nblk > 1 {
-                    let m = rest.len() / c;
-                    trsm_right_lower_trans_with(diag, c, rest, m, arena);
-                }
                 let mut cols: Vec<usize> =
                     boosts.iter().map(|&(p, _)| col_start + p).collect();
                 cols.sort_unstable();
@@ -277,9 +329,9 @@ pub(crate) fn factor_column_buf_perturb(
                         boosts.push((e.pivot, tau * (1.0 + base.abs())));
                     }
                 }
-                col[..c * c].copy_from_slice(&saved);
+                diag.copy_from_slice(&saved);
                 for &(p, b) in &boosts {
-                    col[p * c + p] += b;
+                    diag[p * c + p] += b;
                 }
             }
         }
@@ -290,22 +342,49 @@ pub(crate) fn factor_column_buf_perturb(
     Err(Error::NotPositiveDefinite { col: col_start + pivot })
 }
 
+/// Packs the two source blocks of one `BMOD` into the arena's per-product
+/// operand buffers — the per-task counterpart of the column pack, for
+/// executors whose updates are not issued by the worker that factored the
+/// source column. Same [`pack_rows`], so [`apply_bmod`] sees the same
+/// operands either way.
+pub(crate) fn pack_sources<'a>(
+    arena: &'a mut KernelArena,
+    a_buf: &[f64],
+    ra: usize,
+    b_buf: &[f64],
+    rb: usize,
+    c_k: usize,
+) -> (&'a [f64], &'a [f64], &'a mut Scratch) {
+    let (packs, scratch) = arena.packs_and_scratch();
+    let (ap, bp) = packs.get(packed_len(ra, c_k), packed_len(rb, c_k));
+    pack_rows(ap, a_buf, c_k, ra, c_k);
+    pack_rows(bp, b_buf, c_k, rb, c_k);
+    (ap, bp, scratch)
+}
+
 /// Applies one `BMOD(I, J, K)`: `dest -= A·Bᵀ` scattered through the
 /// destination block's row/column index maps.
 ///
-/// * `a_buf`/`a_rows` — the completed source block `L[I][K]` and its global
-///   rows (only the leading `a_rows.len()·c_k` of `a_buf` are read);
-/// * `b_buf`/`b_rows` — the source `L[J][K]`;
+/// * `ap`/`a_rows` — the completed source block `L[I][K]` in [`pack_rows`]
+///   form (`c_k` deep) and its global rows;
+/// * `bp`/`b_rows` — the source `L[J][K]`, likewise;
 /// * for a diagonal destination (`I == J`, which implies `A == B`) only the
 ///   lower triangle is updated.
+///
+/// This is the only update routine and packed panels its only operand
+/// format: per destination element the arithmetic is one ascending-`k` FMA
+/// chain from zero over the source column and one subtraction, whoever
+/// packed the operands and whenever. That — with updates into a block
+/// applied in ascending source-column order — is what makes executors
+/// bit-identical.
 ///
 /// When the source rows land on a contiguous run of destination rows and the
 /// source columns on a contiguous column range (the common case for the
 /// regular block structures the paper targets), the update is **fused**: the
-/// strided GEMM/SYRK writes straight into the destination block, skipping
-/// the scratch product and the scatter loop entirely. Otherwise the product
-/// is materialized into the arena's scratch (overwrite mode, so no zeroing
-/// pass) and scattered through the index maps as before.
+/// kernel writes straight into the destination block, skipping the scratch
+/// product and the scatter loop entirely. Otherwise the product is
+/// materialized into `scratch` (overwrite mode, so no zeroing pass) and
+/// scattered through the index maps.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_bmod(
     bm: &BlockMatrix,
@@ -313,12 +392,12 @@ pub(crate) fn apply_bmod(
     dest_i: usize,
     dest_j: usize,
     dest_b: usize,
-    a_buf: &[f64],
+    ap: &[f64],
     a_rows: &[u32],
-    b_buf: &[f64],
+    bp: &[f64],
     b_rows: &[u32],
     c_k: usize,
-    arena: &mut KernelArena,
+    scratch: &mut Scratch,
 ) {
     let ra = a_rows.len();
     let rb = b_rows.len();
@@ -336,10 +415,10 @@ pub(crate) fn apply_bmod(
         if (a_rows[ra - 1] - a_rows[0]) as usize == ra - 1 {
             // Fused: rank-k update the dest sub-square in place.
             let view = &mut dest[rd0 * c_dest + rd0..];
-            syrk_lt_sub_strided(view, c_dest, &a_buf[..ra * c_k], c_k, ra, c_k, arena.packs());
+            syrk_lt_prepacked(Mode::Sub, view, c_dest, ap, ra, c_k);
         } else {
-            let (scratch, packs) = arena.scratch_with_packs(ra * ra);
-            syrk_lt_set_strided(scratch, ra, &a_buf[..ra * c_k], c_k, ra, c_k, packs);
+            let scratch = scratch.get(ra * ra);
+            syrk_lt_prepacked(Mode::Set, scratch, ra, ap, ra, c_k);
             for p in 0..ra {
                 let rd = (a_rows[p] - dest_start) as usize;
                 let drow = &mut dest[rd * c_dest..rd * c_dest + c_dest];
@@ -367,32 +446,10 @@ pub(crate) fn apply_bmod(
         if rows_fuse && cols_fuse {
             // Fused: multiply straight into the destination rows.
             let view = &mut dest[cursor0 * c_dest + cd0..];
-            gemm_abt_sub_strided(
-                view,
-                c_dest,
-                &a_buf[..ra * c_k],
-                c_k,
-                &b_buf[..rb * c_k],
-                c_k,
-                ra,
-                rb,
-                c_k,
-                arena.packs(),
-            );
+            gemm_prepacked(Mode::Sub, view, c_dest, ap, bp, ra, rb, c_k);
         } else {
-            let (scratch, packs) = arena.scratch_with_packs(ra * rb);
-            gemm_abt_set_strided(
-                scratch,
-                rb,
-                &a_buf[..ra * c_k],
-                c_k,
-                &b_buf[..rb * c_k],
-                c_k,
-                ra,
-                rb,
-                c_k,
-                packs,
-            );
+            let scratch = scratch.get(ra * rb);
+            gemm_prepacked(Mode::Set, scratch, rb, ap, bp, ra, rb, c_k);
             let mut cursor = cursor0;
             for (p, &gr) in a_rows.iter().enumerate() {
                 while dest_rows[cursor] != gr {
@@ -455,6 +512,184 @@ mod tests {
         let (_, _, v_off) = f_off.to_csc();
         for (a, b) in v_tr.iter().zip(&v_off) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// A third executor for the identity tests, built to differ from the
+    /// sequential driver in everything the numerics must not depend on: it
+    /// solves each off-diagonal block with its own `TRSM` call (no column
+    /// pack), and packs the two source blocks of every `BMOD` afresh, the
+    /// way a task-at-a-time executor does.
+    fn factorize_per_task(f: &mut NumericFactor, perturb_npd: Option<f64>) {
+        let bm = f.bm.clone();
+        let mut arena = KernelArena::new();
+        for k in 0..bm.num_panels() {
+            let c_k = bm.col_width(k);
+            let blocks = &bm.cols[k].blocks;
+            let diag = &mut f.data[k][..c_k * c_k];
+            match perturb_npd {
+                Some(tau) => {
+                    let col_start = bm.partition.cols(k).start;
+                    potrf_perturbed(diag, c_k, col_start, &mut arena, tau).unwrap();
+                }
+                None => potrf_with(diag, c_k, &mut arena).unwrap(),
+            }
+            for (b, blk) in blocks.iter().enumerate().skip(1) {
+                let (diag, rest) = f.data[k].split_at_mut(c_k * c_k);
+                let lo = f.offsets[k][b] - c_k * c_k;
+                let r = blk.nrows();
+                dense::kernels::trsm_right_lower_trans_with(
+                    diag,
+                    c_k,
+                    &mut rest[lo..lo + r * c_k],
+                    r,
+                    &mut arena,
+                );
+            }
+            let (head, tail) = f.data.split_at_mut(k + 1);
+            for b in 1..blocks.len() {
+                for a in b..blocks.len() {
+                    let (dest_i, dest_j) =
+                        (blocks[a].row_panel as usize, blocks[b].row_panel as usize);
+                    let di = bm.find_block(dest_i, dest_j).expect("BMOD destination exists");
+                    let lo = f.offsets[dest_j][di];
+                    let hi = lo + bm.cols[dest_j].blocks[di].nrows() * bm.col_width(dest_j);
+                    let (ra, rb) = (blocks[a].nrows(), blocks[b].nrows());
+                    let (ap, bp, scratch) = pack_sources(
+                        &mut arena,
+                        &head[k][f.offsets[k][a]..],
+                        ra,
+                        &head[k][f.offsets[k][b]..],
+                        rb,
+                        c_k,
+                    );
+                    apply_bmod(
+                        &bm,
+                        &mut tail[dest_j - k - 1][lo..hi],
+                        dest_i,
+                        dest_j,
+                        di,
+                        ap,
+                        bm.block_rows(k, &blocks[a]),
+                        bp,
+                        bm.block_rows(k, &blocks[b]),
+                        c_k,
+                        scratch,
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(f: &NumericFactor) -> Vec<u64> {
+        f.data.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    /// seq ≡ sched ≡ per-task on one block structure, optionally perturbing.
+    fn assert_three_way_identity(
+        bm: Arc<BlockMatrix>,
+        pa: &sparsemat::SymCscMatrix,
+        perturb_npd: Option<f64>,
+        what: &str,
+    ) {
+        let w = blockmat::BlockWork::compute(&bm, &blockmat::WorkModel::default());
+        let plan = crate::Plan::build(&bm, &mapping::Assignment::cyclic(&bm, &w, 4));
+        let f0 = NumericFactor::from_matrix(bm, pa);
+        let mut f_seq = f0.clone();
+        let stats =
+            factorize_seq_opts(&mut f_seq, &FactorOpts { perturb_npd, ..Default::default() })
+                .unwrap();
+        assert_eq!(stats.perturbed_pivots.is_empty(), perturb_npd.is_none(), "{what}");
+        let mut f_sched = f0.clone();
+        let opts = crate::SchedOptions { perturb_npd, workers: Some(3), ..Default::default() };
+        crate::factorize_sched_opts(&mut f_sched, &plan, &opts).unwrap();
+        assert!(bits(&f_sched) == bits(&f_seq), "{what}: sched != seq");
+        let mut f_task = f0;
+        factorize_per_task(&mut f_task, perturb_npd);
+        assert!(bits(&f_task) == bits(&f_seq), "{what}: per-task pack != column pack");
+    }
+
+    #[test]
+    fn column_pack_per_task_pack_and_sched_are_bit_identical() {
+        let problems = [
+            ("grid2d(20)", sparsemat::gen::grid2d(20)),
+            ("cube3d(8)", sparsemat::gen::cube3d(8)),
+            ("bcsstk_like", sparsemat::gen::bcsstk_like("T", 300, 5)),
+        ];
+        for (name, p) in &problems {
+            let perm = ordering::order_problem(p);
+            let analysis =
+                symbolic::analyze(p.matrix.pattern(), &perm, &AmalgamationOpts::default());
+            let pa = analysis.perm.apply_to_matrix(&p.matrix);
+            // Uniform panels: narrower than a micro-panel, exactly one, and
+            // the production width.
+            for bs in [3, 8, 48] {
+                let bm = Arc::new(BlockMatrix::build(analysis.supernodes.clone(), bs));
+                assert_three_way_identity(bm, &pa, None, &format!("{name} B={bs}"));
+            }
+            // Rectilinear panels: block rows that are not multiples of the
+            // micro-panel height, columns narrower than it.
+            let partition = blockmat::BlockPolicy::Rectilinear { sweeps: 2 }.build_partition(
+                &analysis.supernodes,
+                8,
+                &blockmat::WorkModel::default(),
+            );
+            let bm = Arc::new(BlockMatrix::from_partition(analysis.supernodes.clone(), partition));
+            assert_three_way_identity(bm, &pa, None, &format!("{name} rectilinear"));
+        }
+    }
+
+    #[test]
+    fn preallocated_arena_never_grows_during_a_factorization() {
+        // What a scheduler worker does before its hot loop, and what a
+        // session's arena amounts to after its first refactor.
+        let p = sparsemat::gen::cube3d(7);
+        let perm = ordering::order_problem(&p);
+        let analysis = symbolic::analyze(p.matrix.pattern(), &perm, &AmalgamationOpts::default());
+        let pa = analysis.perm.apply_to_matrix(&p.matrix);
+        let partition = blockmat::BlockPolicy::Rectilinear { sweeps: 2 }.build_partition(
+            &analysis.supernodes,
+            8,
+            &blockmat::WorkModel::default(),
+        );
+        let bm = Arc::new(BlockMatrix::from_partition(analysis.supernodes, partition));
+        let longest = max_column_pack_len(&bm);
+        assert!((0..bm.num_panels()).all(|k| column_pack_len(&bm, k) <= longest));
+        assert!(longest > 0);
+        let mut arena = KernelArena::new();
+        arena.preallocate(bm.partition.max_width(), longest);
+        let reserved = arena.reserved();
+        let f0 = NumericFactor::from_matrix(bm, &pa);
+        for _ in 0..2 {
+            let mut f = f0.clone();
+            factorize_seq_with_arena(&mut f, &FactorOpts::default(), &mut arena).unwrap();
+            assert_eq!(arena.reserved(), reserved, "the arena grew mid-factorization");
+        }
+    }
+
+    #[test]
+    fn perturbed_factor_of_an_indefinite_matrix_is_bit_identical_across_executors() {
+        // The perturbing column factor must leave the same pack behind as the
+        // plain one: if it did not, the sequential driver would feed the
+        // *previous* column's panels to this column's updates and diverge
+        // from the executors that pack per task.
+        let p = sparsemat::gen::grid2d(12);
+        let perm = ordering::order_problem(&p);
+        let analysis = symbolic::analyze(p.matrix.pattern(), &perm, &AmalgamationOpts::default());
+        let pa = analysis.perm.apply_to_matrix(&p.matrix);
+        // A − 3·I: the grid Laplacian-like matrix shifted well past its
+        // smallest eigenvalues — genuinely indefinite, many failing pivots.
+        let (pattern, mut values) = pa.into_parts();
+        for j in 0..pattern.n() {
+            values[pattern.col_ptr()[j]] -= 3.0;
+            assert_eq!(pattern.col(j)[0] as usize, j, "diagonal first in column {j}");
+        }
+        let pa = sparsemat::SymCscMatrix::new(pattern, values).unwrap();
+        for bs in [3, 8] {
+            let bm = Arc::new(BlockMatrix::build(analysis.supernodes.clone(), bs));
+            let mut plain = NumericFactor::from_matrix(bm.clone(), &pa);
+            assert!(matches!(factorize_seq(&mut plain), Err(Error::NotPositiveDefinite { .. })));
+            assert_three_way_identity(bm, &pa, Some(1e-6), &format!("indefinite B={bs}"));
         }
     }
 

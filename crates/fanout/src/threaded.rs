@@ -16,7 +16,7 @@ use crate::cancel::{CancelReason, CancelToken};
 use crate::factor::NumericFactor;
 use crate::plan::Plan;
 use crate::proto::{Action, ProtocolState};
-use crate::seq::apply_bmod;
+use crate::seq::{apply_bmod, pack_sources};
 use crate::{Error, StallReport};
 use blockmat::BlockMatrix;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -400,18 +400,26 @@ impl<'data> Worker<'_, 'data> {
                                 .map(|x| x.as_slice())
                                 .expect("remote source block received before use")
                         };
+                        let (ap, bp, scratch) = pack_sources(
+                            &mut self.arena,
+                            a_buf,
+                            blk_a.nrows(),
+                            b_buf,
+                            blk_b.nrows(),
+                            c_k,
+                        );
                         apply_bmod(
                             self.bm,
                             &mut *dest,
                             dest_i,
                             blk_b.row_panel as usize,
                             dest_b as usize,
-                            a_buf,
+                            ap,
                             self.bm.block_rows(k as usize, &blk_a),
-                            b_buf,
+                            bp,
                             self.bm.block_rows(k as usize, &blk_b),
                             c_k,
-                            &mut self.arena,
+                            scratch,
                         );
                     }
                     if let (Some(ring), Some(t0)) = (self.tracer, t0) {

@@ -160,6 +160,36 @@ fn npd_input_retries_with_perturbation_then_recovers_cleanly() {
     }
 }
 
+/// The sequential session keeps one kernel arena across refactors, and a
+/// factored column's packed panels stay in it as the operand of that
+/// column's updates. A refactor that ends early (pivot failure) or takes the
+/// perturbing path leaves some column's pack behind; the next refactor must
+/// not see it.
+#[test]
+fn sequential_session_arena_carries_nothing_across_failed_refactors() {
+    for seed in 0..24u64 {
+        let fx = fixture(seed);
+        let bad = npd_values(&fx.a);
+
+        let mut s = fx.solver.session();
+        s.refactor(&bad)
+            .unwrap_or_else(|e| panic!("seed {seed}: perturbation retry failed: {e}"));
+        assert!(s.resilience().perturbed_pivots >= 1, "seed {seed}");
+        s.refactor(fx.a.values()).expect("clean refactor after perturbed one");
+        assert_eq!(factor_bits(&s), fx.ref_bits, "seed {seed}: perturbation leaked");
+
+        let mut s = fx.solver.session();
+        s.retry = RetryPolicy::disabled();
+        match s.refactor(&bad) {
+            Err(SolverError::Factor(FactorError::NotPositiveDefinite { .. })) => {}
+            other => panic!("seed {seed}: expected pivot failure, got {other:?}"),
+        }
+        s.refactor(fx.a.values())
+            .unwrap_or_else(|e| panic!("seed {seed}: recovery refactor failed: {e}"));
+        assert_eq!(factor_bits(&s), fx.ref_bits, "seed {seed}: recovered bits differ");
+    }
+}
+
 #[test]
 fn worker_panics_surface_structured_and_leave_the_plan_reusable() {
     let mut failures = 0u32;
