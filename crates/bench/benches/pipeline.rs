@@ -1,8 +1,8 @@
 //! Benchmarks of each pipeline stage: ordering, symbolic analysis, plan
-//! construction, numeric factorization (sequential and threaded), and the
+//! construction, numeric factorization (sequential and scheduled), and the
 //! discrete-event simulation itself.
 
-use cholesky_core::{MachineModel, Plan, Solver, SolverOptions};
+use cholesky_core::{MachineModel, Plan, SchedOptions, Solver, SolverOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -79,8 +79,8 @@ fn bench_factorization(c: &mut Criterion) {
         b.iter(|| solver.factor_seq().unwrap())
     });
     let asg = solver.assign_heuristic(4);
-    group.bench_function("factor_threaded_p4_grid40", |b| {
-        b.iter(|| solver.factor_parallel(black_box(&asg)).unwrap())
+    group.bench_function("factor_sched_p4_grid40", |b| {
+        b.iter(|| solver.factor_sched(black_box(&asg), &SchedOptions::default()).unwrap())
     });
     // The premise of block methods: the simplicial column algorithm does
     // the same arithmetic without BLAS-3 blocks and should be slower.
@@ -88,16 +88,6 @@ fn bench_factorization(c: &mut Criterion) {
     let (cp, ri, _) = f0.to_csc();
     group.bench_function("factor_simplicial_grid40", |b| {
         b.iter(|| fanout::factorize_simplicial(black_box(&solver.permuted), &cp, &ri).unwrap())
-    });
-    group.bench_function("factor_multifrontal_grid40", |b| {
-        b.iter(|| {
-            let mut f = fanout::NumericFactor::from_matrix(
-                solver.bm.clone(),
-                &solver.permuted,
-            );
-            fanout::factorize_multifrontal(&mut f, black_box(&solver.permuted)).unwrap();
-            f
-        })
     });
     group.finish();
 }

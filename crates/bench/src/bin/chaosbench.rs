@@ -291,16 +291,20 @@ fn main() {
                                 Scenario::PrefiredCancel => {
                                     let t = CancelToken::new();
                                     t.cancel();
-                                    s.cancel = Some(t);
+                                    s.opts.cancel = Some(t);
                                 }
-                                Scenario::ZeroDeadline => s.deadline = Some(Duration::ZERO),
-                                Scenario::MidrunCancel => s.cancel = Some(CancelToken::new()),
+                                Scenario::ZeroDeadline => {
+                                    s.opts.deadline = Some(Duration::ZERO)
+                                }
+                                Scenario::MidrunCancel => {
+                                    s.opts.cancel = Some(CancelToken::new())
+                                }
                                 _ => {}
                             }
 
                             let t0 = Instant::now();
                             let result = if scen == Scenario::MidrunCancel {
-                                let token = s.cancel.clone().unwrap();
+                                let token = s.opts.cancel.clone().unwrap();
                                 std::thread::scope(|cs| {
                                     let h = cs.spawn(move || {
                                         std::thread::sleep(Duration::from_micros(
@@ -365,8 +369,8 @@ fn main() {
                             // with a clean refactor — pre-fired tokens and
                             // dead deadlines disarmed, faulted executors
                             // replaced by a clean session over the same plan.
-                            s.cancel = None;
-                            s.deadline = None;
+                            s.opts.cancel = None;
+                            s.opts.deadline = None;
                             let mut recovered = if sched.faults.is_some() {
                                 resilience.merge(s.resilience());
                                 solver.session_sched(asg, &SchedOptions::default())

@@ -17,7 +17,9 @@
 //! Reads a symmetric real Matrix Market file, factors it, solves, and
 //! reports the relative residual.
 
-use cholesky_core::{BlockPolicy, MachineModel, OrderingChoice, Solver, SolverOptions};
+use cholesky_core::{
+    BlockPolicy, MachineModel, OrderingChoice, SchedOptions, Solver, SolverError, SolverOptions,
+};
 use std::io::{BufRead, BufReader, Write};
 
 struct Opts {
@@ -222,7 +224,7 @@ fn main() {
 
     let t1 = std::time::Instant::now();
     let (factor, asg) = if o.p <= 1 {
-        (solver.factor_seq(), None)
+        (solver.factor_seq().map_err(SolverError::from), None)
     } else {
         // Accept any processor count: fall back to the most-square grid
         // when P is not a perfect square.
@@ -248,10 +250,11 @@ fn main() {
             }
         };
         let asg = solver.assign_on_grid(grid, row, col);
-        (solver.factor_parallel(&asg), Some(asg))
+        let factor = solver.factor_sched(&asg, &SchedOptions::default()).map(|(f, _)| f);
+        (factor, Some(asg))
     };
     let factor = factor.unwrap_or_else(|e| {
-        eprintln!("factorization failed: {e}");
+        eprintln!("error: {e}");
         std::process::exit(1);
     });
     eprintln!(

@@ -2,7 +2,7 @@
 //! subtree-parallel symbolic analysis, and proportional mapping.
 //!
 //! For each structure the run compares, all through the coordinate-free
-//! graph path ([`ordering::nd_graph`]):
+//! graph path ([`ordering::nd_graph()`]):
 //!
 //! * modeled factor size/flops under minimum degree vs nested dissection;
 //! * the `Auto` structure probe's resolution ([`ordering::probe_structure`])

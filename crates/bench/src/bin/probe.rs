@@ -1,7 +1,7 @@
 //! Feasibility probe: wall-clock cost of one full-scale simulated
 //! factorization, plus a real threaded run on a medium problem.
 
-use cholesky_core::{MachineModel, Solver, SolverOptions};
+use cholesky_core::{MachineModel, SchedOptions, Solver, SolverOptions};
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
             for p in [4usize, 16] {
                 let asg = solver.assign_heuristic(p);
                 let t2 = Instant::now();
-                let f2 = solver.factor_parallel(&asg).unwrap();
+                let (f2, _) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
                 let t_par = t2.elapsed().as_secs_f64();
                 println!(
                     "threaded p={p}: {t_par:.2}s speedup {:.2} residual {:.2e}",

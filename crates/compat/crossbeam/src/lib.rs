@@ -6,7 +6,7 @@
 pub mod channel {
     use std::sync::mpsc;
 
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+    pub use std::sync::mpsc::{RecvError, SendError, TryRecvError};
 
     /// Sending half of an unbounded channel (cloneable).
     pub struct Sender<T>(mpsc::Sender<T>);
@@ -33,10 +33,6 @@ pub mod channel {
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             self.0.try_recv()
-        }
-
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout)
         }
 
         pub fn iter(&self) -> mpsc::Iter<'_, T> {

@@ -14,20 +14,20 @@
 //! 3. **Map** — assign blocks to a `Pr × Pc` processor grid: domains at the
 //!    bottom of the tree, and a Cartesian-product map of the root portion
 //!    (cyclic or any of the paper's remapping heuristics).
-//! 4. **Factor** — sequentially, on real threads (one per virtual
-//!    processor), or on the simulated Paragon for performance studies.
+//! 4. **Factor** — sequentially, on work-stealing worker threads, or in
+//!    virtual time on the simulated Paragon for performance studies.
 //! 5. **Solve** — triangular solves with the assembled factor.
 //!
 //! ```
-//! use cholesky_core::{Solver, SolverOptions};
+//! use cholesky_core::{SchedOptions, Solver, SolverOptions};
 //! use mapping::{ColPolicy, Heuristic, RowPolicy};
 //!
 //! let problem = sparsemat::gen::grid2d(12);
 //! let solver = Solver::analyze_problem(&problem, &SolverOptions::default());
-//! // Factor on 4 simulated/real processors with the paper's best mapping.
+//! // Factor a 4-processor plan with the paper's best mapping.
 //! let asg = solver.assign(4, RowPolicy::Heuristic(Heuristic::IncreasingDepth),
 //!                         ColPolicy::Heuristic(Heuristic::Cyclic));
-//! let factor = solver.factor_parallel(&asg).unwrap();
+//! let (factor, _stats) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
 //! let b = vec![1.0; problem.n()];
 //! let x = solver.solve(&factor, &b);
 //! let report = solver.balance(&asg);
@@ -73,8 +73,8 @@ pub use balance::{BalanceReport, CommStats};
 pub use blockmat::{BlockMatrix, BlockPolicy, BlockWork, WorkModel};
 pub use cache::PlanCache;
 pub use fanout::{
-    CancelReason, CancelToken, CriticalPath, FactorOpts, FaultPlan, NumericFactor, Plan,
-    SchedOptions, SchedStats, SimOutcome, SimPolicy, StallReport,
+    CancelReason, CancelToken, CriticalPath, FaultPlan, NumericFactor, Plan, SchedOptions,
+    SchedStats, SimOutcome, SimPolicy, StallReport,
 };
 pub use mapping::{
     Assignment, ColPolicy, DomainParams, DomainPlan, Heuristic, ProcGrid, RowPolicy,
@@ -177,7 +177,7 @@ pub enum OrderingChoice {
     /// Force minimum degree.
     MinimumDegree,
     /// Force nested dissection: geometric when the problem carries
-    /// coordinates, graph-based ([`ordering::nd_graph`]) otherwise. Produces
+    /// coordinates, graph-based ([`ordering::nd_graph()`]) otherwise. Produces
     /// a separator tree, which enables subtree-parallel symbolic analysis
     /// and proportional mapping.
     NestedDissection,
@@ -230,21 +230,6 @@ pub struct SolverOptions {
     /// Default column mapping policy, used by
     /// [`SymbolicPlan::assign_default`].
     pub col_policy: ColPolicy,
-    /// Wall-clock deadline for numeric factorization runs started from this
-    /// solver ([`Solver::factor_seq`], [`Solver::factor_sched`], and every
-    /// session refactor), measured per attempt from executor entry. On
-    /// expiry workers drain cooperatively and the run returns
-    /// [`fanout::Error::Cancelled`] with a progress snapshot. Explicit
-    /// [`SchedOptions::deadline`] / [`fanout::FactorOpts::deadline`] values
-    /// take precedence. `None` (default) = no deadline.
-    pub deadline: Option<std::time::Duration>,
-    /// Stall-watchdog timeout for scheduled runs: if no task retires for
-    /// this long the run halts with [`fanout::Error::Stalled`]. Overrides
-    /// [`SchedOptions::stall_timeout`] only when the latter is at its
-    /// default; `None` disables the watchdog. Precedence among the three
-    /// stop mechanisms when several fire concurrently: caller cancellation
-    /// > deadline > stall watchdog.
-    pub stall_timeout: Option<std::time::Duration>,
     /// Admission-control budget consulted by the fallible entry points
     /// ([`PlanCache::try_solver_for`], [`Solver::try_session`]); the
     /// infallible ones ignore it. Excluded from [`PlanCache`] keys — it
@@ -264,9 +249,6 @@ impl Default for SolverOptions {
             // The paper's recommended mapping (Table 7).
             row_policy: RowPolicy::Heuristic(Heuristic::IncreasingDepth),
             col_policy: ColPolicy::Heuristic(Heuristic::Cyclic),
-            deadline: None,
-            // Matches the scheduler's own default watchdog.
-            stall_timeout: Some(std::time::Duration::from_secs(60)),
             budget: None,
         }
     }
@@ -454,7 +436,7 @@ impl Solver {
     /// the structure probe on the pattern alone ([`resolve_ordering`]);
     /// the factors are bit-identical to analyzing with the resolved choice
     /// made explicitly. `NestedDissection` always means the multilevel
-    /// graph dissection ([`ordering::nd_graph`]) and produces a separator
+    /// graph dissection ([`ordering::nd_graph()`]) and produces a separator
     /// tree, whose independent
     /// subtrees drive the subtree-parallel symbolic analysis
     /// ([`symbolic::analyze_parallel_timed`]) when more than one analyze
@@ -491,7 +473,7 @@ impl Solver {
     /// ([`resolve_ordering`]) — nested dissection when the trial bisection
     /// scores below the minimum-degree fill sample, minimum degree
     /// otherwise; `NestedDissection` uses the coordinate-free graph
-    /// dissection ([`ordering::nd_graph`]).
+    /// dissection ([`ordering::nd_graph()`]).
     pub fn analyze(a: &SymCscMatrix, opts: &SolverOptions) -> Self {
         Self::analyze_resolved(a, opts, Resolution::of(a.pattern(), opts.ordering))
     }
@@ -621,7 +603,7 @@ impl Solver {
     /// [`refactor`](FactorSession::refactor) is bit-identical to a fresh
     /// analyze + assemble + [`Self::factor_seq`].
     pub fn session(&self) -> FactorSession {
-        FactorSession::new(self, None)
+        FactorSession::new(self, None, SchedOptions::default())
     }
 
     /// [`Self::session`] behind admission control: rejects with
@@ -635,24 +617,10 @@ impl Solver {
     }
 
     /// Opens a repeated factor/solve session running the work-stealing
-    /// scheduler on the assignment's cached task DAG; `resolve_many_parallel`
-    /// is available on such sessions. The plan's
-    /// [`SolverOptions::deadline`]/[`SolverOptions::stall_timeout`] are
-    /// merged into `opts` (explicit `opts` values win).
+    /// scheduler on the assignment's cached task DAG under `opts`, which
+    /// become the session's [`FactorSession::opts`].
     pub fn session_sched(&self, asg: &Assignment, opts: &SchedOptions) -> FactorSession {
-        let t = self.plan.exec_templates(asg);
-        FactorSession::new(self, Some((t, self.plan.merged_sched_opts(opts))))
-    }
-
-    /// [`Self::session_sched`] behind admission control (see
-    /// [`Self::try_session`]).
-    pub fn try_session_sched(
-        &self,
-        asg: &Assignment,
-        opts: &SchedOptions,
-    ) -> Result<FactorSession, SolverError> {
-        self.plan.check_budget()?;
-        Ok(self.session_sched(asg, opts))
+        FactorSession::new(self, Some(self.plan.exec_templates(asg)), opts.clone())
     }
 
     /// Scatters the permuted input into fresh block storage, using the
@@ -666,46 +634,21 @@ impl Solver {
         )
     }
 
-    /// Sequential numeric factorization. Honors
-    /// [`SolverOptions::deadline`], checked once per block column.
+    /// Sequential numeric factorization — the bit reference.
     pub fn factor_seq(&self) -> Result<NumericFactor, fanout::Error> {
         let mut f = self.assemble();
-        if self.opts.deadline.is_some() {
-            let opts = FactorOpts { deadline: self.opts.deadline, ..Default::default() };
-            fanout::factorize_seq_opts(&mut f, &opts)?;
-        } else {
-            fanout::factorize_seq(&mut f)?;
-        }
+        fanout::factorize_seq(&mut f)?;
         Ok(f)
     }
 
-    /// Multifrontal numeric factorization (the third classical method,
-    /// paper reference [13]); produces the identical factor in the same
-    /// block storage.
-    pub fn factor_multifrontal(&self) -> Result<NumericFactor, fanout::Error> {
-        let mut f = self.assemble();
-        fanout::factorize_multifrontal(&mut f, &self.permuted)?;
-        Ok(f)
-    }
-
-    /// Parallel numeric factorization: one thread per virtual processor of
-    /// the assignment, exchanging completed blocks over channels. The task
-    /// plan comes from the plan's per-assignment cache
+    /// Parallel numeric factorization: the assignment's virtual-processor
+    /// plan on work-stealing worker threads, bit-identical to
+    /// [`Self::factor_seq`]. `opts` is the whole run contract — worker
+    /// count, stall watchdog, deadline, cancellation token, deterministic
+    /// fault injection, NPD pivot perturbation, tracing;
+    /// `&SchedOptions::default()` is the plain parallel factorization. The
+    /// task plan comes from the plan's per-assignment cache
     /// ([`SymbolicPlan::exec_templates`]).
-    pub fn factor_parallel(&self, asg: &Assignment) -> Result<NumericFactor, fanout::Error> {
-        let t = self.plan.exec_templates(asg);
-        let mut f = self.assemble();
-        fanout::factorize_threaded(&mut f, &t.plan)?;
-        Ok(f)
-    }
-
-    /// Work-stealing scheduler factorization with explicit
-    /// [`SchedOptions`] — the entry point that exposes the robustness
-    /// layer at the facade level: stall watchdog timeout, deadline,
-    /// cancellation token, deterministic fault injection, and NPD pivot
-    /// perturbation. The plan's [`SolverOptions::deadline`] and
-    /// [`SolverOptions::stall_timeout`] fill any fields `opts` leaves at
-    /// their defaults.
     pub fn factor_sched(
         &self,
         asg: &Assignment,
@@ -713,8 +656,7 @@ impl Solver {
     ) -> Result<(NumericFactor, SchedStats), SolverError> {
         let t = self.plan.exec_templates(asg);
         let mut f = self.assemble();
-        let opts = self.plan.merged_sched_opts(opts);
-        let stats = fanout::factorize_sched_opts(&mut f, &t.plan, &opts)?;
+        let stats = fanout::factorize_sched_opts(&mut f, &t.plan, opts)?;
         Ok((f, stats))
     }
 
@@ -728,7 +670,7 @@ impl Solver {
         asg: &Assignment,
         opts: &SchedOptions,
     ) -> Result<(NumericFactor, SchedStats, RunReport), SolverError> {
-        let mut opts = self.plan.merged_sched_opts(opts);
+        let mut opts = opts.clone();
         if !opts.trace.enabled {
             opts.trace = TraceOpts::on();
         }
@@ -803,21 +745,10 @@ impl Solver {
     /// Solves with one or more steps of iterative refinement:
     /// `x ← x + L⁻ᵀL⁻¹(b − A·x)`, reducing the forward error when the input
     /// is ill-conditioned. Returns the solution and the final residual
-    /// `‖b − A·x‖∞ / ‖b‖∞`.
+    /// `‖b − A·x‖∞ / ‖b‖∞`. The factor CSC is extracted once per call (not
+    /// once per refinement step) and every intermediate vector lives in the
+    /// caller's [`SolveWorkspace`].
     pub fn solve_refined(
-        &self,
-        a: &SymCscMatrix,
-        factor: &NumericFactor,
-        b: &[f64],
-        max_steps: usize,
-    ) -> (Vec<f64>, f64) {
-        self.solve_refined_with(a, factor, b, max_steps, &mut SolveWorkspace::new())
-    }
-
-    /// [`Self::solve_refined`] through a caller-owned [`SolveWorkspace`]:
-    /// the factor CSC is extracted once per call (not once per refinement
-    /// step) and every intermediate vector lives in the workspace.
-    pub fn solve_refined_with(
         &self,
         a: &SymCscMatrix,
         factor: &NumericFactor,
@@ -875,30 +806,13 @@ impl Solver {
         asg: &Assignment,
         b: &[f64],
     ) -> Vec<f64> {
-        self.solve_parallel_with(factor, asg, b, &mut SolveWorkspace::new())
-    }
-
-    /// [`Self::solve_parallel`] through a caller-owned [`SolveWorkspace`]
-    /// for the permutation buffers (the distributed phase manages its own
-    /// per-worker storage).
-    pub fn solve_parallel_with(
-        &self,
-        factor: &NumericFactor,
-        asg: &Assignment,
-        b: &[f64],
-        ws: &mut SolveWorkspace,
-    ) -> Vec<f64> {
-        let n = self.n();
-        assert_eq!(b.len(), n);
+        assert_eq!(b.len(), self.n());
         let t = self.plan.exec_templates(asg);
-        ws.pb.resize(n, 0.0);
-        self.analysis.perm.apply_to_vec_into(b, &mut ws.pb);
-        let px = fanout::solve_threaded_many_with(factor, &t.plan, &t.solve, &[&ws.pb])
+        let pb = self.analysis.perm.apply_to_vec(b);
+        let px = fanout::solve_threaded_many_with(factor, &t.plan, &t.solve, &[&pb])
             .pop()
             .expect("one lane in, one lane out");
-        let mut x = vec![0.0; n];
-        self.analysis.perm.apply_inverse_to_vec_into(&px, &mut x);
-        x
+        self.analysis.perm.apply_inverse_to_vec(&px)
     }
 
     /// Relative residual of a factor against the (permuted) input.
@@ -931,21 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let p = sparsemat::gen::bcsstk_like("T", 120, 4);
-        let solver = Solver::analyze_problem(&p, &opts(6));
-        let asg = solver.assign_heuristic(4);
-        let f_par = solver.factor_parallel(&asg).unwrap();
-        let f_seq = solver.factor_seq().unwrap();
-        assert!(solver.residual(&f_par) < 1e-12);
-        let (_, _, a) = f_par.to_csc();
-        let (_, _, b) = f_seq.to_csc();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn simulate_reports_consistent_efficiency() {
         let p = sparsemat::gen::grid2d(12);
         let solver = Solver::analyze_problem(&p, &opts(4));
@@ -968,7 +867,8 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
         let mut b = vec![0.0; n];
         p.matrix.mul_vec(&x_true, &mut b);
-        let (x, resid) = solver.solve_refined(&p.matrix, &f, &b, 3);
+        let (x, resid) =
+            solver.solve_refined(&p.matrix, &f, &b, 3, &mut SolveWorkspace::new());
         assert!(resid < 1e-13, "residual {resid}");
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9);
@@ -984,22 +884,26 @@ mod tests {
     }
 
     #[test]
-    fn factor_sched_exposes_fault_tolerance_options() {
-        let p = sparsemat::gen::grid2d(8);
-        let solver = Solver::analyze_problem(&p, &opts(4));
-        let asg = solver.assign_cyclic(4);
-        let sched_opts = SchedOptions {
+    fn factor_sched_equals_factor_seq_under_default_and_explicit_options() {
+        let explicit = SchedOptions {
             stall_timeout: Some(std::time::Duration::from_secs(10)),
             ..Default::default()
         };
-        let (f, stats) = solver.factor_sched(&asg, &sched_opts).unwrap();
-        assert!(solver.residual(&f) < 1e-12);
-        assert_eq!(stats.pivot_perturbations, 0);
-        let f_seq = solver.factor_seq().unwrap();
-        let (_, _, a) = f.to_csc();
-        let (_, _, b) = f_seq.to_csc();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for (p, bs, sched_opts) in [
+            (sparsemat::gen::grid2d(8), 4, explicit),
+            (sparsemat::gen::bcsstk_like("T", 120, 4), 6, SchedOptions::default()),
+        ] {
+            let solver = Solver::analyze_problem(&p, &opts(bs));
+            let asg = solver.assign_heuristic(4);
+            let (f, stats) = solver.factor_sched(&asg, &sched_opts).unwrap();
+            assert!(solver.residual(&f) < 1e-12);
+            assert_eq!(stats.pivot_perturbations, 0);
+            let f_seq = solver.factor_seq().unwrap();
+            let (_, _, a) = f.to_csc();
+            let (_, _, b) = f_seq.to_csc();
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
     }
 
@@ -1219,7 +1123,7 @@ mod tests {
         };
         let solver = Solver::analyze_problem(&p, &pm);
         let asg = solver.assign_default(4);
-        let f = solver.factor_parallel(&asg).unwrap();
+        let (f, _) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
         assert!(solver.residual(&f) < 1e-10);
         // Default options reproduce the paper's Table 7 recommendation.
         let d = Solver::analyze_problem(&p, &opts(4));

@@ -170,24 +170,6 @@ impl SymbolicPlan {
         }
     }
 
-    /// Merges the plan's [`SolverOptions`] robustness settings into
-    /// scheduler options: `deadline` fills in when `opts` has none, and
-    /// `stall_timeout` overrides `opts` only when the latter sits at the
-    /// [`fanout::SchedOptions`] default (an explicitly configured watchdog
-    /// always wins).
-    pub(crate) fn merged_sched_opts(&self, opts: &fanout::SchedOptions) -> fanout::SchedOptions {
-        let mut o = opts.clone();
-        if o.deadline.is_none() {
-            o.deadline = self.opts.deadline;
-        }
-        if o.stall_timeout == fanout::SchedOptions::default().stall_timeout
-            && self.opts.stall_timeout != o.stall_timeout
-        {
-            o.stall_timeout = self.opts.stall_timeout;
-        }
-        o
-    }
-
     /// Builds a block-to-processor assignment on a square `√P × √P` grid.
     pub fn assign(&self, p: usize, row: RowPolicy, col: ColPolicy) -> Assignment {
         self.assign_on_grid(ProcGrid::square(p), row, col)
@@ -348,7 +330,7 @@ fn original_entry_targets(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Solver, SolverOptions};
+    use crate::{SchedOptions, Solver, SolverOptions};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -373,7 +355,7 @@ mod tests {
         let t_after = solver.plan.exec_templates(&asg);
         assert!(std::sync::Arc::ptr_eq(&t_before, &t_after));
         // The plan still drives a full factorization.
-        let f = solver.factor_parallel(&asg).unwrap();
+        let (f, _) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
         assert!(solver.residual(&f) < 1e-12);
     }
 

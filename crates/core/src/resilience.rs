@@ -60,8 +60,7 @@ impl std::fmt::Display for ResourceEstimate {
     }
 }
 
-/// Retry policy for [`FactorSession::refactor`]
-/// (`crate::FactorSession::refactor`).
+/// Retry policy for [`FactorSession::refactor`](crate::FactorSession::refactor).
 ///
 /// Attempt numbering is zero-based: attempt 0 is the initial try, and up to
 /// `max_attempts - 1` retries follow. Which failures retry:

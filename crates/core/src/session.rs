@@ -20,14 +20,13 @@
 use crate::plan::{ExecTemplates, NumericTemplates, SymbolicPlan};
 use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::{PhaseTimings, Solver, SolverError};
-use fanout::{CancelReason, CancelToken, FactorOpts, NumericFactor, SchedOptions, SchedStats};
+use fanout::{CancelReason, NumericFactor, SchedOptions, SchedStats};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Reusable buffers for the solve paths ([`Solver::solve_into`],
-/// [`Solver::solve_refined_with`], [`Solver::solve_parallel_with`], and the
-/// session resolves). All fields grow to their steady-state size on first
-/// use and are reused thereafter — repeated solves allocate nothing.
+/// [`Solver::solve_refined`], and the session resolves). All fields grow to
+/// their steady-state size on first use and are reused thereafter —
+/// repeated solves allocate nothing.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     /// Factor CSC column pointers (one-shot solve paths extract here).
@@ -53,14 +52,6 @@ impl SolveWorkspace {
     }
 }
 
-/// Which executor a session's [`FactorSession::refactor`] runs.
-enum SessionExecutor {
-    /// The sequential reference executor, with the session-owned arena.
-    Seq,
-    /// The work-stealing scheduler on the cached task DAG.
-    Sched(Arc<ExecTemplates>, SchedOptions),
-}
-
 /// A reusable numeric factor/solve session over a shared [`SymbolicPlan`].
 ///
 /// Created by [`Solver::session`] (sequential executor) or
@@ -71,7 +62,10 @@ enum SessionExecutor {
 pub struct FactorSession {
     plan: Arc<SymbolicPlan>,
     templates: Arc<NumericTemplates>,
-    exec: SessionExecutor,
+    /// The cached task DAG [`Self::refactor`] hands the work-stealing
+    /// scheduler; `None` runs the sequential reference executor on the
+    /// session-owned arena instead.
+    exec: Option<Arc<ExecTemplates>>,
     factor: NumericFactor,
     /// Factor values gathered into CSC order after each refactorization.
     csc_values: Vec<f64>,
@@ -86,16 +80,16 @@ pub struct FactorSession {
     /// Defaults to [`RetryPolicy::default`]; set
     /// [`RetryPolicy::disabled`] for fail-fast semantics.
     pub retry: RetryPolicy,
-    /// Per-attempt deadline on [`Self::refactor`], measured from executor
-    /// entry. Seeded from [`crate::SolverOptions::deadline`] at session
-    /// creation; an explicit [`SchedOptions::deadline`] on a scheduled
-    /// session takes precedence.
-    pub deadline: Option<Duration>,
-    /// Cooperative cancellation token polled by refactor attempts. `None`
-    /// (default) = not cancellable; install one to cancel from another
-    /// thread. An explicit [`SchedOptions::cancel`] on a scheduled session
-    /// takes precedence.
-    pub cancel: Option<CancelToken>,
+    /// Run control of every [`Self::refactor`] attempt, and the one place it
+    /// is set: per-attempt deadline (measured from executor entry),
+    /// cancellation token (install one to cancel from another thread), and
+    /// for scheduled sessions the worker count, stall watchdog, fault
+    /// injection and tracing. What [`Solver::session_sched`] was given, or
+    /// the defaults for [`Solver::session`], whose sequential executor reads
+    /// `perturb_npd`, `deadline`, `cancel` and `trace` only
+    /// ([`fanout::factorize_seq_opts`]). `perturb_npd` is what an attempt
+    /// uses when [`Self::retry`] does not escalate it.
+    pub opts: SchedOptions,
     resilience: ResilienceStats,
     /// Wall-clock of the latest `refactor` / `resolve` calls, on top of the
     /// plan's analyze timings (the `refactor_s`/`resolve_s` phases feed the
@@ -109,16 +103,17 @@ pub struct FactorSession {
 }
 
 impl FactorSession {
-    pub(crate) fn new(solver: &Solver, exec_sched: Option<(Arc<ExecTemplates>, SchedOptions)>) -> Self {
+    pub(crate) fn new(
+        solver: &Solver,
+        exec: Option<Arc<ExecTemplates>>,
+        opts: SchedOptions,
+    ) -> Self {
         let templates = solver.plan.numeric_templates();
         let factor = templates.assembly.alloc(solver.plan.bm.clone());
         Self {
             plan: solver.plan.clone(),
             templates,
-            exec: match exec_sched {
-                None => SessionExecutor::Seq,
-                Some((t, o)) => SessionExecutor::Sched(t, o),
-            },
+            exec,
             factor,
             csc_values: Vec::new(),
             arena: dense::KernelArena::new(),
@@ -126,8 +121,7 @@ impl FactorSession {
             factored: false,
             poisoned: false,
             retry: RetryPolicy::default(),
-            deadline: solver.plan.opts.deadline,
-            cancel: None,
+            opts,
             resilience: ResilienceStats::default(),
             timings: solver.plan.timings,
             sched_stats: None,
@@ -189,11 +183,12 @@ impl FactorSession {
     /// Failed attempts are governed by [`Self::retry`]: contained worker
     /// panics and scheduler stalls retry after a deterministic backoff,
     /// non-positive-definite pivots retry with escalating perturbation
-    /// (`ε`, `10ε`, …), and cancellation / an expired [`Self::deadline`]
-    /// returns immediately. Every attempt re-scatters the input through
-    /// the plan's immutable map first, so a session whose previous
-    /// refactor failed ([`Self::is_poisoned`]) recovers automatically —
-    /// its next successful refactor is bit-identical to a fresh session's.
+    /// (`ε`, `10ε`, …), and cancellation / an expired deadline
+    /// ([`Self::opts`]) returns immediately. Every attempt re-scatters the
+    /// input through the plan's immutable map first, so a session whose
+    /// previous refactor failed ([`Self::is_poisoned`]) recovers
+    /// automatically — its next successful refactor is bit-identical to a
+    /// fresh session's.
     pub fn refactor(&mut self, values: &[f64]) -> Result<(), SolverError> {
         assert_eq!(
             values.len(),
@@ -219,38 +214,24 @@ impl FactorSession {
                 self.factor.data[p as usize][at] = v;
             }
             self.factored = false;
-            let perturb = self.retry.perturb_for(attempt);
-            let result = match &self.exec {
-                SessionExecutor::Seq => {
-                    let opts = FactorOpts {
-                        perturb_npd: perturb,
-                        deadline: self.deadline,
-                        cancel: self.cancel.clone(),
-                        ..Default::default()
-                    };
-                    fanout::factorize_seq_with_arena(&mut self.factor, &opts, &mut self.arena)
-                        .map(|stats| {
-                            self.resilience.perturbed_pivots +=
-                                stats.perturbed_pivots.len() as u64;
-                        })
-                }
-                SessionExecutor::Sched(t, opts) => {
-                    let mut o = opts.clone();
-                    o.perturb_npd = perturb.or(o.perturb_npd);
-                    if o.deadline.is_none() {
-                        o.deadline = self.deadline;
-                    }
-                    if o.cancel.is_none() {
-                        o.cancel = self.cancel.clone();
-                    }
-                    fanout::factorize_sched_opts(&mut self.factor, &t.plan, &o).map(|stats| {
-                        self.resilience.perturbed_pivots += stats.pivot_perturbations;
+            let opts = SchedOptions {
+                perturb_npd: self.retry.perturb_for(attempt).or(self.opts.perturb_npd),
+                ..self.opts.clone()
+            };
+            let perturbed = match &self.exec {
+                None => fanout::factorize_seq_opts(&mut self.factor, &opts, &mut self.arena)
+                    .map(|stats| stats.perturbed_pivots.len() as u64),
+                Some(t) => {
+                    fanout::factorize_sched_opts(&mut self.factor, &t.plan, &opts).map(|stats| {
+                        let perturbed = stats.pivot_perturbations;
                         self.sched_stats = Some(stats);
+                        perturbed
                     })
                 }
             };
-            match result {
-                Ok(()) => {
+            match perturbed {
+                Ok(perturbed) => {
+                    self.resilience.perturbed_pivots += perturbed;
                     self.templates.csc.gather_into(&self.factor, &mut self.csc_values);
                     self.factored = true;
                     self.poisoned = false;
@@ -377,37 +358,6 @@ impl FactorSession {
                 (0..n)
                     .map(|i| self.ws.lanes[perm.new_of_old(i) * k + r])
                     .collect()
-            })
-            .collect();
-        self.timings.resolve_s = t0.elapsed().as_secs_f64();
-        out
-    }
-
-    /// [`Self::resolve_many`] on the distributed solver: both substitution
-    /// phases run on the assignment's virtual processors with the cached
-    /// solve structure, all lanes per message. Requires a scheduled session
-    /// ([`Solver::session_sched`]); matches the sequential resolves to
-    /// floating-point summation order.
-    pub fn resolve_many_parallel(&mut self, bs: &[&[f64]]) -> Vec<Vec<f64>> {
-        assert!(self.factored, "refactor before resolve");
-        let SessionExecutor::Sched(t, _) = &self.exec else {
-            panic!("resolve_many_parallel requires a scheduled session (Solver::session_sched)");
-        };
-        let t0 = std::time::Instant::now();
-        let n = self.n();
-        let perm = &self.plan.analysis.perm;
-        let mut pbs: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
-        for lane in bs {
-            pbs.push(perm.apply_to_vec(lane));
-        }
-        let refs: Vec<&[f64]> = pbs.iter().map(|p| p.as_slice()).collect();
-        let pxs = fanout::solve_threaded_many_with(&self.factor, &t.plan, &t.solve, &refs);
-        let out = pxs
-            .into_iter()
-            .map(|px| {
-                let mut x = vec![0.0; n];
-                perm.apply_inverse_to_vec_into(&px, &mut x);
-                x
             })
             .collect();
         self.timings.resolve_s = t0.elapsed().as_secs_f64();

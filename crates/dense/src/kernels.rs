@@ -2,7 +2,7 @@
 //!
 //! The public entry points keep the seed's shapes and semantics. GEMM/SYRK
 //! dispatch on problem size: small blocks run the scalar kernels in
-//! [`reference`], larger ones the packed, register-tiled core in
+//! [`mod@reference`], larger ones the packed, register-tiled core in
 //! [`crate::pack`]. The triangular solve has one implementation — pack the
 //! rows into micro-panels, solve them eight rows per vector lane
 //! ([`crate::pack::trsm_packed`]), unpack — whatever the shape, so a row's

@@ -1,6 +1,6 @@
 //! Critical path analysis of the block factorization DAG (paper Section 5).
 //!
-//! The paper uses critical path analysis (Rothberg's thesis, reference [11])
+//! The paper uses critical path analysis (Rothberg's thesis, reference \[11\])
 //! to argue that the benchmark problems *do* have enough concurrency: for
 //! BCSSTK15 on 100 processors the critical path admits ~50% more performance
 //! than achieved, so idle time must come from scheduling/communication, not

@@ -168,30 +168,6 @@ impl NumericFactor {
         &mut self.data[j][lo..hi]
     }
 
-    /// Splits the whole factor into disjoint per-block mutable slices, keyed
-    /// by `(panel, block_index)`.
-    ///
-    /// This is how the threaded executor hands each worker exclusive
-    /// ownership of exactly the blocks it is assigned, without copying any
-    /// block data in or out: workers factor and update the slices in place.
-    pub fn split_blocks_mut(&mut self) -> Vec<((u32, u32), &mut [f64])> {
-        let mut out = Vec::new();
-        for (j, col) in self.data.iter_mut().enumerate() {
-            let offs = &self.offsets[j];
-            let col_len = col.len();
-            let mut rest: &mut [f64] = col;
-            let mut consumed = 0usize;
-            for b in 0..offs.len() {
-                let end = offs.get(b + 1).copied().unwrap_or(col_len);
-                let (blk, tail) = rest.split_at_mut(end - consumed);
-                consumed = end;
-                rest = tail;
-                out.push(((j as u32, b as u32), blk));
-            }
-        }
-        out
-    }
-
     /// The factor entry `L[i][j]` (global indices, `i ≥ j`), or 0 when the
     /// position is outside the stored structure.
     pub fn get(&self, i: usize, j: usize) -> f64 {

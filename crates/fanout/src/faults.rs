@@ -19,7 +19,7 @@
 //!   of chosen supernode panels to force a not-positive-definite pivot at a
 //!   known global column. Because the perturbation is applied to the
 //!   scattered factor storage, it works identically under *any* executor
-//!   (sequential, FIFO, scheduler, multifrontal), so every executor's NPD
+//!   (sequential or scheduled), so every executor's NPD
 //!   reporting can be cross-checked against the sequential reference.
 //!
 //! Fault decisions hash the task id with the seed (a splitmix64 mix), so

@@ -1,33 +1,46 @@
-//! The block fan-out method (paper Section 2.3), in four executors.
+//! The block fan-out method (paper Section 2.3): one task graph, three
+//! drivers.
 //!
-//! * [`seq`] — a sequential right-looking block factorization; the numeric
-//!   reference and the `tseq` baseline.
-//! * [`sched`] — the production shared-memory executor: the `p`-processor
-//!   protocol on `min(p, num_cpus)` work-stealing worker threads with
-//!   critical-path task priorities and zero-copy block publication.
-//!   [`factorize_threaded`] lives here.
-//! * [`threaded`] — the channel-based SPMD baseline: one OS thread per
-//!   virtual processor, blocks exchanged over channels, entirely data-driven
-//!   exactly as the paper describes ("a processor acts on received blocks in
-//!   the order in which they are received"). Kept (as [`factorize_fifo`])
-//!   for the scheduler's benchmark comparison.
-//! * [`sim`] — the same protocol executed on the discrete-event Paragon
-//!   model of the `simgrid` crate, tracking *time* instead of numerics. All
-//!   of the paper's performance experiments (Figure 1, Tables 5 and 7) are
-//!   regenerated with this executor.
+//! Every driver runs the same three block operations on the same storage
+//! ([`NumericFactor`]) — `BFAC`/`BDIV` through the shared column factor and
+//! `BMOD` through the one update routine, on operands in the kernels' packed
+//! panel form — and applies the updates into a block in ascending
+//! source-column order. They differ only in *who runs a task, when*, and
+//! therefore in who packs a source block:
 //!
-//! The executors share [`plan::Plan`] (who owns what, who must receive
-//! which completed block, how many updates each block awaits); the channel
-//! baseline and the simulator additionally share [`proto::ProtocolState`]
-//! (the per-processor data-driven state machine), so the simulated runs
-//! exercise the identical protocol logic that the numeric runs validate for
-//! correctness.
+//! * [`seq`] — the **inline** driver: block columns ascending on the calling
+//!   thread. The numeric reference every other result is compared to bit for
+//!   bit, and the `tseq` baseline. It packs each factored column **once**
+//!   (the solve leaves the column's pack in the arena) and slices that pack
+//!   for every update the column sources.
+//! * [`sched`] — the **work-stealing** driver, the production path: the
+//!   `p`-processor plan on `min(p, num_cpus)` worker threads with
+//!   critical-path priorities and zero-copy block publication. A worker packs
+//!   the two source blocks of a `BMOD` **per task**, into its own arena,
+//!   because the update rarely runs on the worker that factored the source
+//!   column. Bit-identical to [`seq`].
+//! * [`sim`] — the **virtual-time** driver: the paper's data-driven protocol
+//!   ([`proto::ProtocolState`], one state machine per processor) on the
+//!   discrete-event Paragon model of the `simgrid` crate, charging model time
+//!   instead of running kernels. All of the paper's performance experiments
+//!   (Figure 1, Tables 5 and 7) are regenerated with it; nothing is packed.
+//!
+//! Run control — NPD perturbation, deadline, cancellation token, tracing,
+//! plus the worker-thread knobs only [`sched`] reads — is one struct,
+//! [`SchedOptions`], for both numeric drivers.
+//!
+//! The drivers share [`plan::Plan`] (who owns what, who must receive which
+//! completed block, how many updates each block awaits). That the protocol
+//! the simulator times also yields a correct factor is checked by the
+//! `proto` tests, which interpret its action stream with the real kernels.
+//! [`simplicial`] is deliberately *not* a fourth driver: it shares no kernel,
+//! block structure or task order with the fan-out method, which is what makes
+//! it the independent oracle the numeric drivers are tested against.
 
 pub mod cancel;
 pub mod critpath;
 pub mod factor;
 pub mod faults;
-pub mod multifrontal;
 pub mod plan;
 pub mod proto;
 pub mod psolve;
@@ -37,27 +50,19 @@ pub mod seq;
 pub mod sim;
 pub mod simplicial;
 pub mod solve;
-pub mod threaded;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use critpath::{block_levels, critical_path, CriticalPath};
 pub use factor::NumericFactor;
 pub use faults::{Fault, FaultPlan};
-pub use multifrontal::factorize_multifrontal;
 pub use plan::Plan;
 pub use psolve::{solve_threaded, solve_threaded_many, solve_threaded_many_with, SolvePlan};
 pub use reuse::{AssemblyTemplate, CscTemplate};
-pub use sched::{
-    env_workers, factorize_sched, factorize_sched_opts, factorize_threaded, SchedOptions,
-    SchedStats,
-};
-pub use seq::{
-    factorize_seq, factorize_seq_opts, factorize_seq_with_arena, FactorOpts, SeqStats,
-};
+pub use sched::{env_workers, factorize_sched, factorize_sched_opts, SchedOptions, SchedStats};
+pub use seq::{factorize_seq, factorize_seq_opts, SeqStats};
 pub use simplicial::{factorize_simplicial, factorize_simplicial_from, CscFactor};
 pub use sim::{block_ranks, simulate, simulate_traced, simulate_with_policy, SimOutcome, SimPolicy};
 pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi, solve_many};
-pub use threaded::{factorize_fifo, factorize_fifo_opts, FifoOptions, FifoStats};
 // Tracing vocabulary, re-exported so executor callers need no direct `trace`
 // dependency to configure or consume a trace.
 pub use trace::{CounterEvent, TaskKind, Trace, TraceEvent, TraceOpts};

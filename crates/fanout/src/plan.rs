@@ -1,4 +1,4 @@
-//! The static execution plan shared by the threaded and simulated executors.
+//! The static execution plan shared by the scheduled and simulated drivers.
 
 use blockmat::{for_each_bmod, BlockMatrix};
 use mapping::Assignment;

@@ -8,9 +8,9 @@
 //! are sent to every processor that needs them.
 //!
 //! The state machine itself is purely symbolic — it emits [`Action`]s in a
-//! data-dependency-respecting order — so the threaded executor (which
-//! applies real kernels) and the simulated executor (which charges model
-//! time) share it verbatim.
+//! data-dependency-respecting order — so the simulator charges model time
+//! for them, and the tests below apply real kernels to the same stream to
+//! show that the protocol being timed yields a correct factor.
 //!
 //! Pairing is *bucketed*: available source blocks of a column are kept in
 //! two lists — those whose panel can be the destination **row** here
@@ -279,9 +279,14 @@ impl ProtocolState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factor::NumericFactor;
+    use crate::seq::{factorize_seq, testkit::perform};
+    use crate::Error;
     use blockmat::{BlockWork, WorkModel};
+    use dense::KernelArena;
     use mapping::Assignment;
     use std::collections::HashSet;
+    use std::sync::Arc;
     use symbolic::AmalgamationOpts;
 
     fn setup(k: usize, p: usize) -> (BlockMatrix, Plan) {
@@ -295,39 +300,59 @@ mod tests {
         (bm, plan)
     }
 
-    /// Runs the protocol over an in-memory "perfect network" (instant
-    /// delivery, per-destination FIFO) and returns per-proc action logs.
-    fn run_protocol(bm: &BlockMatrix, plan: &Plan) -> Vec<Vec<Action>> {
-        let p = plan.p;
+    /// Runs the protocol to completion over an in-memory network with
+    /// instant delivery, handing every batch of emitted actions to
+    /// `on_actions(processor, batch)` before anything it sends is delivered.
+    /// The network is FIFO without a `seed`; with one, a seeded xorshift
+    /// picks which undelivered message arrives next — "entirely data-driven"
+    /// means no assumption about message order beyond causality.
+    fn drive(
+        bm: &BlockMatrix,
+        plan: &Plan,
+        seed: Option<u64>,
+        mut on_actions: impl FnMut(usize, &[Action]),
+    ) {
+        let mut rng = seed.map(|s| s | 1);
+        let mut next = |len: usize| {
+            rng.as_mut().map_or(0, |x| {
+                *x ^= *x << 13;
+                *x ^= *x >> 7;
+                *x ^= *x << 17;
+                *x as usize % len
+            })
+        };
         let mut states: Vec<ProtocolState> =
-            (0..p).map(|q| ProtocolState::new(plan, bm, q as u32)).collect();
-        let mut logs: Vec<Vec<Action>> = vec![Vec::new(); p];
-        let mut queue: std::collections::VecDeque<(usize, u32, u32)> = Default::default();
-        let handle = |q: usize,
-                          actions: &[Action],
-                          logs: &mut Vec<Vec<Action>>,
-                          queue: &mut std::collections::VecDeque<(usize, u32, u32)>| {
+            (0..plan.p).map(|q| ProtocolState::new(plan, bm, q as u32)).collect();
+        let mut undelivered: Vec<(usize, u32, u32)> = Vec::new();
+        let mut emitted = |q: usize, actions: &[Action], net: &mut Vec<(usize, u32, u32)>| {
+            on_actions(q, actions);
             for act in actions {
                 if let Action::Complete { j, b } = *act {
-                    for &dest in &plan.send_to[j as usize][b as usize] {
-                        queue.push_back((dest as usize, j, b));
-                    }
+                    net.extend(
+                        plan.send_to[j as usize][b as usize].iter().map(|&d| (d as usize, j, b)),
+                    );
                 }
             }
-            logs[q].extend_from_slice(actions);
         };
         let mut actions = Vec::new();
         for (q, st) in states.iter_mut().enumerate() {
             st.start(plan, bm, &mut actions);
-            handle(q, &actions, &mut logs, &mut queue);
+            emitted(q, &actions, &mut undelivered);
         }
-        while let Some((dest, j, b)) = queue.pop_front() {
+        while !undelivered.is_empty() {
+            let (dest, j, b) = undelivered.remove(next(undelivered.len()));
             states[dest].on_receive(plan, bm, j, b, &mut actions);
-            handle(dest, &actions, &mut logs, &mut queue);
+            emitted(dest, &actions, &mut undelivered);
         }
         for (q, st) in states.iter().enumerate() {
             assert!(st.is_done(), "proc {q} not done: {st:?}");
         }
+    }
+
+    /// Per-processor action logs of a FIFO-network run.
+    fn run_protocol(bm: &BlockMatrix, plan: &Plan) -> Vec<Vec<Action>> {
+        let mut logs: Vec<Vec<Action>> = vec![Vec::new(); plan.p];
+        drive(bm, plan, None, |q, actions| logs[q].extend_from_slice(actions));
         logs
     }
 
@@ -395,49 +420,78 @@ mod tests {
     }
 
     #[test]
-    fn protocol_tolerates_arbitrary_delivery_order() {
-        // The fan-out method is "entirely data-driven": no assumption about
-        // message order beyond causality. Deliver pending messages in a
-        // pseudo-random order and check the run still completes with every
-        // block finished exactly once.
-        let (bm, plan) = setup(9, 4);
-        for seed in [1u64, 7, 42, 1234] {
-            let p = plan.p;
-            let mut states: Vec<ProtocolState> =
-                (0..p).map(|q| ProtocolState::new(&plan, &bm, q as u32)).collect();
-            let mut pool: Vec<(usize, u32, u32)> = Vec::new();
-            let mut actions = Vec::new();
-            let mut completed = 0usize;
-            let handle =
-                |acts: &[Action], pool: &mut Vec<(usize, u32, u32)>, completed: &mut usize| {
-                    for act in acts {
-                        if let Action::Complete { j, b } = *act {
-                            *completed += 1;
-                            for &dest in &plan.send_to[j as usize][b as usize] {
-                                pool.push((dest as usize, j, b));
+    fn interpreted_protocol_yields_the_sequential_factor() {
+        // The simulator only *times* the protocol. That the same action
+        // stream, executed, is a correct factorization that completes every
+        // block exactly once — under any mapping and any causal delivery
+        // order — is shown here: perform every
+        // action as it is emitted and compare with the inline driver. The
+        // test has one address space, so a "received" block is read where
+        // its owner completed it. A failed pivot is min-combined and the run
+        // carries on with the column as it is: whatever that poisons lies in
+        // higher columns and loses the min.
+        let prob = sparsemat::gen::grid2d(9);
+        let perm = ordering::order_problem(&prob);
+        let analysis = symbolic::analyze(prob.matrix.pattern(), &perm, &AmalgamationOpts::default());
+        let spd = analysis.perm.apply_to_matrix(&prob.matrix);
+        // A − 3·I: decisively indefinite, many failing pivots.
+        let (pattern, mut values) = spd.clone().into_parts();
+        for j in 0..pattern.n() {
+            assert_eq!(pattern.col(j)[0] as usize, j, "diagonal first in column {j}");
+            values[pattern.col_ptr()[j]] -= 3.0;
+        }
+        let indefinite = sparsemat::SymCscMatrix::new(pattern, values).unwrap();
+        let bm = Arc::new(BlockMatrix::build(analysis.supernodes, 3));
+        let w = BlockWork::compute(&bm, &WorkModel::default());
+        for p in [1usize, 4, 9] {
+            let domains = mapping::DomainPlan::select(&bm, &w, p, &Default::default());
+            let heuristic = Assignment::build(
+                &bm,
+                &w,
+                mapping::ProcGrid::square(p),
+                mapping::RowPolicy::Heuristic(mapping::Heuristic::IncreasingDepth),
+                mapping::ColPolicy::Heuristic(mapping::Heuristic::Cyclic),
+                Some(domains),
+            );
+            for (mapping, asg) in
+                [("cyclic", Assignment::cyclic(&bm, &w, p)), ("heuristic", heuristic)]
+            {
+                let plan = Plan::build(&bm, &asg);
+                for (input, a) in [("spd", &spd), ("indefinite", &indefinite)] {
+                    let f0 = NumericFactor::from_matrix(bm.clone(), a);
+                    let mut f_seq = f0.clone();
+                    let want = factorize_seq(&mut f_seq);
+                    assert_eq!(want.is_ok(), input == "spd");
+                    for seed in [None, Some(1u64), Some(7), Some(42), Some(1234)] {
+                        let what = format!("p={p} {mapping} {input} delivery {seed:?}");
+                        let mut f = f0.clone();
+                        let mut arena = KernelArena::new();
+                        let mut fail_col: Option<usize> = None;
+                        let mut completed = 0;
+                        drive(&bm, &plan, seed, |_, actions| {
+                            for &act in actions {
+                                completed += matches!(act, Action::Complete { .. }) as usize;
+                                if let Err(col) = perform(&mut f, &mut arena, act, None) {
+                                    fail_col = Some(fail_col.map_or(col, |m| m.min(col)));
+                                }
                             }
+                        });
+                        assert_eq!(completed, bm.num_blocks(), "{what}");
+                        match &want {
+                            Ok(()) => {
+                                assert_eq!(fail_col, None, "{what}");
+                                for (x, y) in f_seq.data.iter().flatten().zip(f.data.iter().flatten()) {
+                                    assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{what}: {y} vs {x}");
+                                }
+                            }
+                            Err(Error::NotPositiveDefinite { col }) => {
+                                assert_eq!(fail_col, Some(*col), "{what}");
+                            }
+                            Err(e) => panic!("{what}: {e}"),
                         }
                     }
-                };
-            for st in states.iter_mut() {
-                st.start(&plan, &bm, &mut actions);
-                handle(&actions, &mut pool, &mut completed);
+                }
             }
-            let mut rng = seed | 1;
-            while !pool.is_empty() {
-                // xorshift pick
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let pick = (rng as usize) % pool.len();
-                let (dest, j, b) = pool.swap_remove(pick);
-                states[dest].on_receive(&plan, &bm, j, b, &mut actions);
-                handle(&actions, &mut pool, &mut completed);
-            }
-            for (q, st) in states.iter().enumerate() {
-                assert!(st.is_done(), "seed {seed}: proc {q} incomplete");
-            }
-            assert_eq!(completed, bm.num_blocks(), "seed {seed}");
         }
     }
 

@@ -3,12 +3,12 @@
 //! The paper's Section 5 diagnosis (see [`crate::critpath`]) is that the
 //! benchmark problems have ~50% more concurrency than the achieved
 //! performance — the gap is scheduling and communication, not want of
-//! parallelism. The original executor ([`crate::threaded`], kept as the
-//! measurable baseline) spawns one OS thread per *virtual* processor and
-//! snapshots every remotely-consumed block into an `Arc<Vec<f64>>`, which is
-//! pure overhead once every consumer shares one address space.
+//! parallelism. Running the protocol literally on shared memory — one OS
+//! thread per *virtual* processor, every remotely-consumed block snapshotted
+//! into a message — pays for both twice over once every consumer shares one
+//! address space.
 //!
-//! This module replaces that with an asynchronous task-DAG runtime:
+//! This module is an asynchronous task-DAG runtime instead:
 //!
 //! * **Workers, not vprocs.** The `p`-processor plan runs on
 //!   `min(p, num_cpus)` worker threads. The plan's block ownership only
@@ -30,7 +30,6 @@
 //! * **Zero-copy publication.** Completed blocks are never snapshotted:
 //!   completion is a release-store into a per-column done bitmap, and
 //!   consumers read the factor storage in place after an acquire-load.
-//!   [`SchedStats::blocks_copied`] stays 0 by construction.
 //!
 //! # Numerics
 //!
@@ -78,7 +77,10 @@ pub fn env_workers() -> Option<usize> {
     std::env::var("SCHED_WORKERS").ok()?.parse().ok().filter(|&w| w > 0)
 }
 
-/// Tunables of [`factorize_sched_opts`].
+/// Run control of the numeric drivers: every field steers
+/// [`factorize_sched_opts`]; the inline driver
+/// ([`crate::factorize_seq_opts`]) reads `perturb_npd`, `deadline`, `cancel`
+/// and `trace` and ignores the rest.
 #[derive(Debug, Clone)]
 pub struct SchedOptions {
     /// Worker thread count; `None` = the `SCHED_WORKERS` environment
@@ -98,11 +100,11 @@ pub struct SchedOptions {
     /// heartbeat is task *retirement*, so long-running tasks do not trip it
     /// as long as some task finishes within the window.
     pub stall_timeout: Option<Duration>,
-    /// Wall-clock deadline for the whole run, measured from entry into
-    /// [`factorize_sched_opts`]. When it expires the supervisor fires the
-    /// cancellation token with [`CancelReason::Deadline`], workers drain to
-    /// quiescence, and the run returns [`Error::Cancelled`]. `None` (the
-    /// default) imposes no deadline.
+    /// Wall-clock deadline for the whole run, measured from entry into the
+    /// driver. When it expires the supervisor fires the cancellation token
+    /// with [`CancelReason::Deadline`], workers drain to quiescence, and the
+    /// run returns [`Error::Cancelled`]. `None` (the default) imposes no
+    /// deadline.
     pub deadline: Option<Duration>,
     /// External cancellation token. Workers poll it at every task-claim
     /// boundary; firing it drains the run into [`Error::Cancelled`] with
@@ -119,16 +121,27 @@ pub struct SchedOptions {
     /// data-level — apply [`FaultPlan::inject_npd`] to the factor before
     /// the run.
     pub faults: Option<FaultPlan>,
-    /// NPD graceful degradation, as
-    /// [`FactorOpts::perturb_npd`](crate::FactorOpts::perturb_npd): `None`
-    /// (default) reports structured NPD errors with the sequential min-col
-    /// convention; `Some(tau)` perturbs failing pivots instead and counts
-    /// them in [`SchedStats::pivot_perturbations`].
+    /// NPD graceful degradation. `None` (the default) rejects any
+    /// non-positive pivot with [`Error::NotPositiveDefinite`] at the smallest
+    /// failing column, whichever driver and worker count ran. `Some(tau)`
+    /// instead *perturbs* a failing pivot: the offending diagonal entry is
+    /// boosted by `tau · (1 + |aₖₖ|)` (grown geometrically on repeated
+    /// failure) and the diagonal block is refactored, so the factorization
+    /// completes on indefinite or semidefinite inputs. Perturbed pivots are
+    /// reported in [`SchedStats::pivot_perturbations`] /
+    /// [`SeqStats::perturbed_pivots`](crate::SeqStats::perturbed_pivots); a
+    /// factor with a nonzero perturbation count is a factor of a *modified*
+    /// matrix and should be paired with iterative refinement.
     pub perturb_npd: Option<f64>,
     /// Execution tracing: when enabled, every task / steal / idle interval
     /// lands in a per-worker lock-free ring and the collected
-    /// [`Trace`] is returned in [`SchedStats::trace`]. Off by default —
-    /// a disabled run pays one branch per hook and allocates nothing.
+    /// [`Trace`] is returned in [`SchedStats::trace`].
+    /// [`TraceOpts::ring_capacity`] is a floor: each ring is raised to the
+    /// run's task-event count (one per column plus at most one per `BMOD`,
+    /// known from the task graph), so task events alone never overflow it
+    /// and [`Trace::dropped`] is nonzero only when steal and idle events do.
+    /// Off by default — a disabled run pays one branch per hook and
+    /// allocates nothing.
     pub trace: TraceOpts,
 }
 
@@ -179,11 +192,6 @@ pub struct SchedStats {
     pub bmods_applied: u64,
     /// Block columns factored (`BFAC` + whole-column `TRSM`).
     pub columns_factored: u64,
-    /// Completed-block snapshot copies. Zero by construction in this
-    /// shared-memory path (consumers read the factor storage in place);
-    /// the field exists so benchmarks can assert that against the
-    /// channel-based baseline's copy count.
-    pub blocks_copied: u64,
     /// Pivots perturbed by NPD graceful degradation (0 unless
     /// [`SchedOptions::perturb_npd`] is set *and* triggered).
     pub pivot_perturbations: u64,
@@ -201,19 +209,13 @@ pub struct SchedStats {
     pub trace: Option<Trace>,
 }
 
-/// Factors `f` in place with the work-stealing scheduler under default
-/// options. Drop-in for the old executor, plus statistics.
-pub fn factorize_sched(f: &mut NumericFactor, plan: &Plan) -> Result<SchedStats, Error> {
-    factorize_sched_opts(f, plan, &SchedOptions::default())
-}
-
 /// Factors `f` in place using `plan`'s virtual-processor protocol on
-/// `min(p, num_cpus)` work-stealing worker threads.
+/// `min(p, num_cpus)` work-stealing worker threads, under default options.
 ///
 /// The factor is bit-identical to [`crate::factorize_seq`] regardless of
 /// worker count, steal order, or priorities.
-pub fn factorize_threaded(f: &mut NumericFactor, plan: &Plan) -> Result<(), Error> {
-    factorize_sched(f, plan).map(|_| ())
+pub fn factorize_sched(f: &mut NumericFactor, plan: &Plan) -> Result<SchedStats, Error> {
+    factorize_sched_opts(f, plan, &SchedOptions::default())
 }
 
 /// [`factorize_sched`] with explicit [`SchedOptions`].
@@ -234,7 +236,14 @@ pub fn factorize_sched_opts(
 
     let np = bm.num_panels();
     let nb = plan.num_blocks();
-    let tracebuf = TraceBuf::new(workers, &opts.trace);
+    // One event per task: a completion per column, and at most one
+    // block-advance task per update. A ring that holds them all overflows
+    // only if steal/idle events push it over.
+    let task_events = np + schedule.upd_k.len();
+    let tracebuf = TraceBuf::new(
+        workers,
+        &TraceOpts { ring_capacity: opts.trace.ring_capacity.max(task_events), ..opts.trace },
+    );
     let shared = Shared {
         bm: &bm,
         plan,
@@ -1219,7 +1228,6 @@ mod tests {
             assert!(a.to_bits() == b.to_bits(), "entry {i}: {a} vs {b}");
         }
         assert!(residual_norm(&pa, &f_par) < 1e-12);
-        assert_eq!(stats.blocks_copied, 0);
         assert_eq!(stats.columns_factored as usize, f_par.bm.num_panels());
         let mut bmods = 0u64;
         blockmat::for_each_bmod(&f_par.bm, |_| bmods += 1);
@@ -1288,6 +1296,42 @@ mod tests {
     }
 
     #[test]
+    fn a_requested_trace_keeps_every_task_event_whatever_the_ring_capacity() {
+        // The configured capacity is a floor: the rings are raised to the
+        // task graph's event count, so a tiny (or the default) capacity
+        // cannot silently truncate the bfac/bmod record of a long run.
+        let prob = sparsemat::gen::grid2d(12);
+        let (f0, plan, _) = prepared(&prob, 3, 4);
+        let np = f0.bm.num_panels();
+        let mut updates = 0u64;
+        blockmat::for_each_bmod(&f0.bm, |_| updates += 1);
+        for workers in [1, 3] {
+            let opts = SchedOptions {
+                workers: Some(workers),
+                trace: TraceOpts::with_capacity(8),
+                ..Default::default()
+            };
+            let stats = factorize_sched_opts(&mut f0.clone(), &plan, &opts).unwrap();
+            assert_eq!(stats.bmods_applied, updates);
+            assert!(stats.tasks_run <= np as u64 + updates, "ring bound is not an upper bound");
+            let tr = stats.trace.as_ref().expect("tracing was enabled");
+            // Whatever overflowed was steal/idle traffic on top of the tasks.
+            assert!(tr.dropped <= stats.steals + stats.idle_polls);
+            if workers == 1 {
+                // A lone worker neither steals nor parks: the trace is exact.
+                assert_eq!(tr.dropped, 0);
+                let count = |k: TaskKind| tr.per_worker[0].iter().filter(|e| e.kind == k).count();
+                assert_eq!(count(TaskKind::Bfac), np, "one bfac per column");
+                assert_eq!(
+                    count(TaskKind::Bmod) as u64,
+                    stats.tasks_run - np as u64,
+                    "one bmod per block-advance task"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn elapsed_is_task_span_and_never_exceeds_wall() {
         let prob = sparsemat::gen::grid2d(9);
         let (mut f, plan, _) = prepared(&prob, 3, 4);
@@ -1331,48 +1375,5 @@ mod tests {
         let mut f = NumericFactor::from_matrix(bm, &pa);
         factorize_sched(&mut f, &plan).unwrap();
         assert!(residual_norm(&pa, &f) < 1e-12);
-    }
-
-    #[test]
-    fn sched_reports_smallest_failing_column() {
-        // Two independent indefinite 2x2 diagonal blocks; whichever worker
-        // trips first, the reported pivot must be the smaller column.
-        let a = sparsemat::SymCscMatrix::from_coords(
-            4,
-            &[
-                (0, 0, 1.0),
-                (1, 0, 3.0),
-                (1, 1, 1.0),
-                (2, 2, 1.0),
-                (3, 2, 4.0),
-                (3, 3, 1.0),
-            ],
-        )
-        .unwrap();
-        let parent = symbolic::etree(a.pattern());
-        let counts = symbolic::col_counts(a.pattern(), &parent);
-        let sn = symbolic::Supernodes::compute(a.pattern(), &parent, &counts, &AmalgamationOpts::off());
-        let bm = Arc::new(BlockMatrix::build(sn, 2));
-        let w = BlockWork::compute(&bm, &WorkModel::default());
-        let asg = Assignment::cyclic(&bm, &w, 4);
-        let plan = Plan::build(&bm, &asg);
-        let mut f = NumericFactor::from_matrix(bm, &a);
-        let err = factorize_sched(&mut f, &plan).unwrap_err();
-        assert_eq!(err, Error::NotPositiveDefinite { col: 1 });
-    }
-
-    #[test]
-    fn threaded_wrapper_keeps_signature_and_matches_seq() {
-        let prob = sparsemat::gen::grid2d(7);
-        let (mut f_par, plan, _) = prepared(&prob, 3, 4);
-        let mut f_seq = f_par.clone();
-        factorize_seq(&mut f_seq).unwrap();
-        let ok: Result<(), Error> = factorize_threaded(&mut f_par, &plan);
-        ok.unwrap();
-        let (_, _, v_seq) = f_seq.to_csc();
-        let (_, _, v_par) = f_par.to_csc();
-        for (a, b) in v_seq.iter().zip(&v_par) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

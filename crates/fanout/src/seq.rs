@@ -1,8 +1,9 @@
 //! Sequential right-looking block factorization, plus the numeric kernels
 //! shared by every executor.
 
-use crate::cancel::{CancelReason, CancelToken};
+use crate::cancel::CancelReason;
 use crate::factor::NumericFactor;
+use crate::sched::SchedOptions;
 use crate::{Error, StallReport};
 use blockmat::BlockMatrix;
 use dense::kernels::potrf_with;
@@ -11,50 +12,19 @@ use dense::pack::{
 };
 use dense::{KernelArena, Scratch};
 use std::time::Instant;
-use trace::{TaskKind, Trace, TraceEvent, TraceOpts};
-
-/// Numeric factorization options shared by the executors.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FactorOpts {
-    /// NPD graceful degradation. `None` (the default) rejects any
-    /// non-positive pivot with
-    /// [`Error::NotPositiveDefinite`](crate::Error::NotPositiveDefinite) —
-    /// the exact behaviour (and bits) of the plain entry points. `Some(tau)`
-    /// instead *perturbs* a failing pivot: the offending diagonal entry is
-    /// boosted by `tau · (1 + |aₖₖ|)` (grown geometrically on repeated
-    /// failure) and the
-    /// diagonal block is refactored, so the factorization completes on
-    /// indefinite or semidefinite inputs. Perturbed pivot columns are
-    /// reported in [`SeqStats::perturbed_pivots`]; a factor with a nonzero
-    /// perturbation count is a factor of a *modified* matrix and should be
-    /// paired with iterative refinement.
-    pub perturb_npd: Option<f64>,
-    /// Wall-clock deadline for the run, measured from entry. Checked once
-    /// per block column; on expiry the run stops between columns and
-    /// returns [`Error::Cancelled`](crate::Error::Cancelled) with
-    /// [`CancelReason::Deadline`] and a columns-done progress snapshot.
-    /// `None` (the default) imposes no deadline.
-    pub deadline: Option<std::time::Duration>,
-    /// Cooperative cancellation token, polled once per block column.
-    /// Firing it stops the run between columns with
-    /// [`Error::Cancelled`](crate::Error::Cancelled). `None` by default.
-    pub cancel: Option<CancelToken>,
-    /// Execution tracing: when enabled, each column completion (`bfac`,
-    /// covering `BFAC` + the whole-column `TRSM`) and each `BMOD` lands in
-    /// a single-track [`Trace`] returned via [`SeqStats::trace`]. Event
-    /// `block` ids are destination *panel* indices (the sequential executor
-    /// has no plan, hence no flat block ids).
-    pub trace: TraceOpts,
-}
+use trace::{TaskKind, Trace, TraceEvent};
 
 /// Statistics of one sequential factorization run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SeqStats {
     /// Global columns whose pivots were perturbed (ascending; empty when
-    /// [`FactorOpts::perturb_npd`] is off or never triggered).
+    /// [`SchedOptions::perturb_npd`] is off or never triggered).
     pub perturbed_pivots: Vec<usize>,
-    /// The collected single-worker trace, when [`FactorOpts::trace`]
-    /// enabled tracing.
+    /// The collected single-track trace, when [`SchedOptions::trace`]
+    /// enabled tracing: one `bfac` per column (covering `BFAC` + the
+    /// whole-column `TRSM`) and one `bmod` per update. Event `block` ids are
+    /// destination *panel* indices (the inline driver has no plan, hence no
+    /// flat block ids).
     pub trace: Option<Trace>,
 }
 
@@ -62,25 +32,28 @@ pub struct SeqStats {
 /// `BFAC(K,K)`, then `BDIV(I,K)` for its off-diagonal blocks, then every
 /// `BMOD` sourced from column `K`.
 pub fn factorize_seq(f: &mut NumericFactor) -> Result<(), Error> {
-    factorize_seq_opts(f, &FactorOpts::default()).map(|_| ())
+    factorize_seq_opts(f, &SchedOptions::default(), &mut KernelArena::new()).map(|_| ())
 }
 
-/// [`factorize_seq`] with explicit [`FactorOpts`]. With default options the
-/// factor is bit-identical to [`factorize_seq`].
-pub fn factorize_seq_opts(f: &mut NumericFactor, opts: &FactorOpts) -> Result<SeqStats, Error> {
-    let mut arena = KernelArena::new();
-    factorize_seq_with_arena(f, opts, &mut arena)
-}
-
-/// [`factorize_seq_opts`] with a caller-owned [`KernelArena`]. Repeated
-/// factorizations of the same structure (the refactorization hot path) pass
-/// the same arena back in, so pack-buffer and scratch allocations happen
-/// once per session rather than once per factorization. The arena contents
-/// never feed the result — the factor is bit-identical whichever arena is
-/// supplied.
-pub fn factorize_seq_with_arena(
+/// [`factorize_seq`] under explicit run control, through a caller-owned
+/// [`KernelArena`].
+///
+/// The inline driver reads four fields of `opts`: `perturb_npd`, `deadline`
+/// and `cancel` (both polled once per block column — on expiry or a fired
+/// token the run stops between columns with [`Error::Cancelled`] and a
+/// columns-done progress snapshot) and `trace`. The other five (`workers`,
+/// `use_priorities`, `seed`, `stall_timeout`, `faults`) steer worker threads
+/// it does not have and are ignored. With default options the factor is
+/// bit-identical to [`factorize_seq`].
+///
+/// Repeated factorizations of the same structure (the refactorization hot
+/// path) pass the same arena back in, so pack-buffer and scratch allocations
+/// happen once per session rather than once per factorization. The arena
+/// contents never feed the result — the factor is bit-identical whichever
+/// arena is supplied.
+pub fn factorize_seq_opts(
     f: &mut NumericFactor,
-    opts: &FactorOpts,
+    opts: &SchedOptions,
     arena: &mut KernelArena,
 ) -> Result<SeqStats, Error> {
     let bm = f.bm.clone();
@@ -466,6 +439,85 @@ pub(crate) fn apply_bmod(
     }
 }
 
+/// A test-only interpreter of single block operations, built to differ from
+/// the sequential driver in everything the numerics must not depend on. The
+/// identity tests below run it in the driver's own order (same bits
+/// expected); the protocol tests run it in the order the data-driven state
+/// machines emit (same factor to rounding).
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::*;
+    use crate::proto::Action;
+    use dense::kernels::trsm_right_lower_trans_with;
+
+    /// Performs `act` on `f` the way a task-at-a-time executor does: each
+    /// off-diagonal block solved by its own `TRSM` call (no column pack), the
+    /// two source blocks of a `BMOD` packed afresh. A pivot that fails (and,
+    /// with `perturb_npd`, cannot be rescued) returns its global column and
+    /// leaves the block as `POTRF` left it.
+    pub(crate) fn perform(
+        f: &mut NumericFactor,
+        arena: &mut KernelArena,
+        act: Action,
+        perturb_npd: Option<f64>,
+    ) -> Result<(), usize> {
+        let bm = f.bm.clone();
+        match act {
+            Action::Complete { j, b } => {
+                let (j, b) = (j as usize, b as usize);
+                let c = bm.col_width(j);
+                let col_start = bm.partition.cols(j).start;
+                let (diag, rest) = f.data[j].split_at_mut(c * c);
+                match (b, perturb_npd) {
+                    (0, None) => potrf_with(diag, c, arena).map_err(|e| col_start + e.pivot)?,
+                    (0, Some(tau)) => {
+                        potrf_perturbed(diag, c, col_start, arena, tau).map_err(|e| match e {
+                            Error::NotPositiveDefinite { col } => col,
+                            e => unreachable!("POTRF fails on a pivot or not at all: {e}"),
+                        })?;
+                    }
+                    _ => {
+                        let lo = f.offsets[j][b] - c * c;
+                        let r = bm.cols[j].blocks[b].nrows();
+                        trsm_right_lower_trans_with(diag, c, &mut rest[lo..lo + r * c], r, arena);
+                    }
+                }
+            }
+            Action::Bmod { k, a, b, dest_j, dest_b } => {
+                let (k, dest_j, dest_b) = (k as usize, dest_j as usize, dest_b as usize);
+                let (blk_a, blk_b) = (bm.cols[k].blocks[a as usize], bm.cols[k].blocks[b as usize]);
+                let c_k = bm.col_width(k);
+                // Updates flow from lower to higher columns: k < dest_j.
+                let (head, tail) = f.data.split_at_mut(dest_j);
+                let lo = f.offsets[dest_j][dest_b];
+                let hi = lo + bm.cols[dest_j].blocks[dest_b].nrows() * bm.col_width(dest_j);
+                let (ap, bp, scratch) = pack_sources(
+                    arena,
+                    &head[k][f.offsets[k][a as usize]..],
+                    blk_a.nrows(),
+                    &head[k][f.offsets[k][b as usize]..],
+                    blk_b.nrows(),
+                    c_k,
+                );
+                apply_bmod(
+                    &bm,
+                    &mut tail[0][lo..hi],
+                    blk_a.row_panel as usize,
+                    dest_j,
+                    dest_b,
+                    ap,
+                    bm.block_rows(k, &blk_a),
+                    bp,
+                    bm.block_rows(k, &blk_b),
+                    c_k,
+                    scratch,
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,8 +543,8 @@ mod tests {
         let bm = Arc::new(BlockMatrix::build(analysis.supernodes, 3));
         let mut f_tr = NumericFactor::from_matrix(bm.clone(), &pa);
         let mut f_off = f_tr.clone();
-        let opts = FactorOpts { trace: TraceOpts::on(), ..Default::default() };
-        let stats = factorize_seq_opts(&mut f_tr, &opts).unwrap();
+        let opts = SchedOptions { trace: trace::TraceOpts::on(), ..Default::default() };
+        let stats = factorize_seq_opts(&mut f_tr, &opts, &mut KernelArena::new()).unwrap();
         let tr = stats.trace.as_ref().expect("tracing was enabled");
         assert_eq!(tr.workers(), 1);
         let events = &tr.per_worker[0];
@@ -515,68 +567,27 @@ mod tests {
         }
     }
 
-    /// A third executor for the identity tests, built to differ from the
-    /// sequential driver in everything the numerics must not depend on: it
-    /// solves each off-diagonal block with its own `TRSM` call (no column
-    /// pack), and packs the two source blocks of every `BMOD` afresh, the
-    /// way a task-at-a-time executor does.
+    /// A third executor for the identity tests: the sequential driver's task
+    /// order, one [`testkit::perform`] per block operation.
     fn factorize_per_task(f: &mut NumericFactor, perturb_npd: Option<f64>) {
+        use crate::proto::Action;
+        use testkit::perform;
         let bm = f.bm.clone();
         let mut arena = KernelArena::new();
         for k in 0..bm.num_panels() {
-            let c_k = bm.col_width(k);
             let blocks = &bm.cols[k].blocks;
-            let diag = &mut f.data[k][..c_k * c_k];
-            match perturb_npd {
-                Some(tau) => {
-                    let col_start = bm.partition.cols(k).start;
-                    potrf_perturbed(diag, c_k, col_start, &mut arena, tau).unwrap();
+            let nb = blocks.len() as u32;
+            let k = k as u32;
+            let mut acts: Vec<Action> = (0..nb).map(|b| Action::Complete { j: k, b }).collect();
+            for b in 1..nb {
+                for a in b..nb {
+                    let (i, j) = (blocks[a as usize].row_panel, blocks[b as usize].row_panel);
+                    let dest_b = bm.find_block(i as usize, j as usize).expect("BMOD destination");
+                    acts.push(Action::Bmod { k, a, b, dest_j: j, dest_b: dest_b as u32 });
                 }
-                None => potrf_with(diag, c_k, &mut arena).unwrap(),
             }
-            for (b, blk) in blocks.iter().enumerate().skip(1) {
-                let (diag, rest) = f.data[k].split_at_mut(c_k * c_k);
-                let lo = f.offsets[k][b] - c_k * c_k;
-                let r = blk.nrows();
-                dense::kernels::trsm_right_lower_trans_with(
-                    diag,
-                    c_k,
-                    &mut rest[lo..lo + r * c_k],
-                    r,
-                    &mut arena,
-                );
-            }
-            let (head, tail) = f.data.split_at_mut(k + 1);
-            for b in 1..blocks.len() {
-                for a in b..blocks.len() {
-                    let (dest_i, dest_j) =
-                        (blocks[a].row_panel as usize, blocks[b].row_panel as usize);
-                    let di = bm.find_block(dest_i, dest_j).expect("BMOD destination exists");
-                    let lo = f.offsets[dest_j][di];
-                    let hi = lo + bm.cols[dest_j].blocks[di].nrows() * bm.col_width(dest_j);
-                    let (ra, rb) = (blocks[a].nrows(), blocks[b].nrows());
-                    let (ap, bp, scratch) = pack_sources(
-                        &mut arena,
-                        &head[k][f.offsets[k][a]..],
-                        ra,
-                        &head[k][f.offsets[k][b]..],
-                        rb,
-                        c_k,
-                    );
-                    apply_bmod(
-                        &bm,
-                        &mut tail[dest_j - k - 1][lo..hi],
-                        dest_i,
-                        dest_j,
-                        di,
-                        ap,
-                        bm.block_rows(k, &blocks[a]),
-                        bp,
-                        bm.block_rows(k, &blocks[b]),
-                        c_k,
-                        scratch,
-                    );
-                }
+            for act in acts {
+                perform(f, &mut arena, act, perturb_npd).expect("pivots succeed or are rescued");
             }
         }
     }
@@ -596,12 +607,10 @@ mod tests {
         let plan = crate::Plan::build(&bm, &mapping::Assignment::cyclic(&bm, &w, 4));
         let f0 = NumericFactor::from_matrix(bm, pa);
         let mut f_seq = f0.clone();
-        let stats =
-            factorize_seq_opts(&mut f_seq, &FactorOpts { perturb_npd, ..Default::default() })
-                .unwrap();
+        let opts = SchedOptions { perturb_npd, workers: Some(3), ..Default::default() };
+        let stats = factorize_seq_opts(&mut f_seq, &opts, &mut KernelArena::new()).unwrap();
         assert_eq!(stats.perturbed_pivots.is_empty(), perturb_npd.is_none(), "{what}");
         let mut f_sched = f0.clone();
-        let opts = crate::SchedOptions { perturb_npd, workers: Some(3), ..Default::default() };
         crate::factorize_sched_opts(&mut f_sched, &plan, &opts).unwrap();
         assert!(bits(&f_sched) == bits(&f_seq), "{what}: sched != seq");
         let mut f_task = f0;
@@ -662,7 +671,7 @@ mod tests {
         let f0 = NumericFactor::from_matrix(bm, &pa);
         for _ in 0..2 {
             let mut f = f0.clone();
-            factorize_seq_with_arena(&mut f, &FactorOpts::default(), &mut arena).unwrap();
+            factorize_seq_opts(&mut f, &SchedOptions::default(), &mut arena).unwrap();
             assert_eq!(arena.reserved(), reserved, "the arena grew mid-factorization");
         }
     }

@@ -1,4 +1,4 @@
-//! Cancellation and deadline stress tests across executors.
+//! Cancellation and deadline stress tests across the numeric drivers.
 //!
 //! The contract under test (ISSUE: cancellation and deadlines): a fired
 //! [`CancelToken`] or an expired deadline must stop any executor
@@ -11,19 +11,18 @@
 //! is caller > deadline > stall.
 
 use blockmat::{BlockMatrix, BlockWork, WorkModel};
+use dense::KernelArena;
 use fanout::{
-    factorize_fifo_opts, factorize_sched_opts, factorize_seq, factorize_seq_opts,
-    CancelReason, CancelToken, Error, FactorOpts, FaultPlan, FifoOptions, NumericFactor,
-    Plan, SchedOptions,
+    factorize_sched_opts, factorize_seq, factorize_seq_opts, CancelReason, CancelToken, Error,
+    FaultPlan, NumericFactor, Plan, SchedOptions,
 };
 use mapping::Assignment;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use symbolic::AmalgamationOpts;
 
-/// Hard ceiling on any cancelled run: far above the poll intervals
-/// involved (100ms supervisor tick, 20ms fifo recv timeout), far below a
-/// hang.
+/// Hard ceiling on any cancelled run: far above the poll interval
+/// involved (100ms supervisor tick), far below a hang.
 const PROMPT: Duration = Duration::from_secs(10);
 
 fn prepared(prob: &sparsemat::Problem, bs: usize, p: usize) -> (NumericFactor, Plan) {
@@ -99,16 +98,8 @@ fn pre_fired_token_cancels_every_executor_promptly() {
     );
     expect_cancelled(
         || {
-            let opts = FifoOptions { cancel: Some(fired()), ..Default::default() };
-            factorize_fifo_opts(&mut f0.clone(), &plan, &opts).map(|_| ())
-        },
-        CancelReason::Caller,
-        "fifo pre-fired",
-    );
-    expect_cancelled(
-        || {
-            let opts = FactorOpts { cancel: Some(fired()), ..Default::default() };
-            factorize_seq_opts(&mut f0.clone(), &opts).map(|_| ())
+            let opts = SchedOptions { cancel: Some(fired()), ..Default::default() };
+            factorize_seq_opts(&mut f0.clone(), &opts, &mut KernelArena::new()).map(|_| ())
         },
         CancelReason::Caller,
         "seq pre-fired",
@@ -131,16 +122,8 @@ fn zero_deadline_expires_every_executor() {
     );
     expect_cancelled(
         || {
-            let opts = FifoOptions { deadline: dl, ..Default::default() };
-            factorize_fifo_opts(&mut f0.clone(), &plan, &opts).map(|_| ())
-        },
-        CancelReason::Deadline,
-        "fifo zero deadline",
-    );
-    expect_cancelled(
-        || {
-            let opts = FactorOpts { deadline: dl, ..Default::default() };
-            factorize_seq_opts(&mut f0.clone(), &opts).map(|_| ())
+            let opts = SchedOptions { deadline: dl, ..Default::default() };
+            factorize_seq_opts(&mut f0.clone(), &opts, &mut KernelArena::new()).map(|_| ())
         },
         CancelReason::Deadline,
         "seq zero deadline",
@@ -255,7 +238,7 @@ fn reset_token_is_reusable_for_a_clean_run() {
 #[test]
 fn generous_deadline_never_fires() {
     // A deadline far beyond the runtime must leave the result and the
-    // bits completely untouched, in every executor.
+    // bits completely untouched, in both drivers.
     let prob = sparsemat::gen::grid2d(9);
     let (f0, plan) = prepared(&prob, 3, 4);
     let mut f_ref = f0.clone();
@@ -268,19 +251,8 @@ fn generous_deadline_never_fires() {
     assert_bit_identical(&f_ref, &f_sched, "sched generous deadline");
 
     let mut f_seq = f0.clone();
-    factorize_seq_opts(&mut f_seq, &FactorOpts { deadline: dl, ..Default::default() })
-        .unwrap();
+    factorize_seq_opts(&mut f_seq, &opts, &mut KernelArena::new()).unwrap();
     assert_bit_identical(&f_ref, &f_seq, "seq generous deadline");
-
-    let mut f_fifo = f0.clone();
-    factorize_fifo_opts(&mut f_fifo, &plan, &FifoOptions { deadline: dl, ..Default::default() })
-        .unwrap();
-    let (_, _, va) = f_ref.to_csc();
-    let (_, _, vb) = f_fifo.to_csc();
-    for (i, (a, b)) in va.iter().zip(&vb).enumerate() {
-        // Fifo applies updates in receive order: rounding-level agreement.
-        assert!((a - b).abs() < 1e-9, "fifo entry {i}: {a:e} vs {b:e}");
-    }
 }
 
 #[test]
@@ -290,8 +262,8 @@ fn seq_deadline_reports_column_progress() {
     let prob = sparsemat::gen::grid2d(12);
     let (f0, _) = prepared(&prob, 3, 4);
     let mut f = f0.clone();
-    let opts = FactorOpts { deadline: Some(Duration::ZERO), ..Default::default() };
-    match factorize_seq_opts(&mut f, &opts) {
+    let opts = SchedOptions { deadline: Some(Duration::ZERO), ..Default::default() };
+    match factorize_seq_opts(&mut f, &opts, &mut KernelArena::new()) {
         Err(Error::Cancelled { reason: CancelReason::Deadline, progress }) => {
             assert_eq!(progress.columns_done, 0, "zero deadline stops before column 0");
             assert_eq!(progress.columns_total, f.bm.num_panels());

@@ -14,10 +14,10 @@
 //! replays exactly.
 
 use blockmat::{BlockMatrix, BlockWork, WorkModel};
+use dense::KernelArena;
 use fanout::{
-    factorize_fifo, factorize_multifrontal, factorize_sched_opts, factorize_seq,
-    factorize_seq_opts, factorize_threaded, Error, FactorOpts, FaultPlan, NumericFactor, Plan,
-    SchedOptions,
+    factorize_sched_opts, factorize_seq, factorize_seq_opts, Error, FaultPlan, NumericFactor,
+    Plan, SchedOptions,
 };
 use mapping::Assignment;
 use std::sync::Arc;
@@ -119,26 +119,11 @@ fn run_one(f0: &NumericFactor, plan: &Plan, fp: &FaultPlan, seed: u64, what: &st
     }
 }
 
-/// Agreement to each executor's own contract: the scheduler applies BMODs
-/// in a deterministic order (bit-identical to sequential); the FIFO and
-/// channel baselines apply them in receive order, so they agree to within
-/// accumulated rounding only.
-fn assert_close(f_seq: &NumericFactor, f_par: &NumericFactor, what: &str) {
-    let (_, _, v_seq) = f_seq.to_csc();
-    let (_, _, v_par) = f_par.to_csc();
-    assert_eq!(v_seq.len(), v_par.len(), "{what}: factor size differs");
-    for (i, (a, b)) in v_seq.iter().zip(&v_par).enumerate() {
-        assert!((a - b).abs() < 1e-9, "{what}: entry {i} differs: {a:e} vs {b:e}");
-    }
-}
-
 #[test]
 fn executors_agree_on_amalgamated_plans() {
-    // Amalgamation pads blocks with explicit zeros; every executor must
-    // walk the padded structure identically, so the agreement guarantees
-    // that hold on fundamental plans must survive merging unchanged:
-    // bit-identity for the deterministic scheduler, rounding-level
-    // agreement for the receive-order fifo/threaded baselines.
+    // Amalgamation pads blocks with explicit zeros; both drivers must walk
+    // the padded structure identically, so the bit-identity that holds on
+    // fundamental plans must survive merging unchanged.
     for (prob, bs) in [
         (sparsemat::gen::grid2d(12), 4usize),
         (sparsemat::gen::bcsstk_like("T", 240, 4), 6),
@@ -149,12 +134,6 @@ fn executors_agree_on_amalgamated_plans() {
             blocks_seen.push(f0.bm.num_blocks());
             let mut f_seq = f0.clone();
             factorize_seq(&mut f_seq).expect("seq");
-            let mut f_thr = f0.clone();
-            factorize_threaded(&mut f_thr, &plan).expect("threaded");
-            assert_close(&f_seq, &f_thr, &format!("{} threaded", prob.name));
-            let mut f_fifo = f0.clone();
-            factorize_fifo(&mut f_fifo, &plan).expect("fifo");
-            assert_close(&f_seq, &f_fifo, &format!("{} fifo", prob.name));
             for workers in [1usize, 3] {
                 let mut f_sched = f0.clone();
                 let opts = SchedOptions {
@@ -301,8 +280,8 @@ fn npd_perturbation_recovers_and_matches_seq() {
     assert!(!injected.is_empty(), "seed 5 must hit at least one panel");
 
     let tau = 1e-6;
-    let stats_seq =
-        factorize_seq_opts(&mut f_seq, &FactorOpts { perturb_npd: Some(tau), ..Default::default() }).unwrap();
+    let opts = SchedOptions { perturb_npd: Some(tau), ..Default::default() };
+    let stats_seq = factorize_seq_opts(&mut f_seq, &opts, &mut KernelArena::new()).unwrap();
     assert!(!stats_seq.perturbed_pivots.is_empty());
     for c in &injected {
         assert!(
@@ -312,7 +291,6 @@ fn npd_perturbation_recovers_and_matches_seq() {
         );
     }
 
-    let opts = SchedOptions { perturb_npd: Some(tau), ..Default::default() };
     let stats_par = factorize_sched_opts(&mut f_par, &plan, &opts).unwrap();
     assert_eq!(stats_par.pivot_perturbations, stats_seq.perturbed_pivots.len() as u64);
     assert_bit_identical(&f_seq, &f_par, "perturbed NPD recovery");
@@ -320,7 +298,7 @@ fn npd_perturbation_recovers_and_matches_seq() {
 
 #[test]
 fn perturbation_is_off_by_default() {
-    // FactorOpts::default() must behave exactly like plain factorize_seq:
+    // Default options must behave exactly like plain factorize_seq:
     // same structured NPD error on a perturbed input, bit-identical factor
     // on a clean one.
     let prob = sparsemat::gen::grid2d(9);
@@ -331,22 +309,23 @@ fn perturbation_is_off_by_default() {
     fp.inject_npd(&mut f_a);
     fp.inject_npd(&mut f_b);
     let plain = factorize_seq(&mut f_a).unwrap_err();
-    let opted = factorize_seq_opts(&mut f_b, &FactorOpts::default()).unwrap_err();
+    let defaults = SchedOptions::default();
+    let opted = factorize_seq_opts(&mut f_b, &defaults, &mut KernelArena::new()).unwrap_err();
     assert_eq!(plain, opted);
 
     let mut f_c = f0.clone();
     let mut f_d = f0.clone();
     factorize_seq(&mut f_c).unwrap();
-    let stats = factorize_seq_opts(&mut f_d, &FactorOpts::default()).unwrap();
+    let stats = factorize_seq_opts(&mut f_d, &defaults, &mut KernelArena::new()).unwrap();
     assert!(stats.perturbed_pivots.is_empty());
-    assert_bit_identical(&f_c, &f_d, "FactorOpts::default vs factorize_seq");
+    assert_bit_identical(&f_c, &f_d, "default options vs factorize_seq");
 }
 
 #[test]
-fn all_executors_agree_on_the_failing_column() {
+fn both_drivers_agree_on_the_failing_column() {
     // Two independent indefinite 2x2 diagonal blocks: columns 1 and 3 both
-    // fail their pivot; every executor must report the smaller (column 1),
-    // whatever order its workers reach them in.
+    // fail their pivot; both drivers must report the smaller (column 1),
+    // whatever the worker count and the order workers reach them in.
     let a = sparsemat::SymCscMatrix::from_coords(
         4,
         &[
@@ -370,44 +349,12 @@ fn all_executors_agree_on_the_failing_column() {
     let want = Error::NotPositiveDefinite { col: 1 };
 
     assert_eq!(factorize_seq(&mut f0.clone()), Err(want.clone()), "seq");
-    assert_eq!(
-        factorize_sched_opts(&mut f0.clone(), &plan, &SchedOptions::default()).unwrap_err(),
-        want,
-        "sched"
-    );
-    assert_eq!(factorize_fifo(&mut f0.clone(), &plan).unwrap_err(), want, "fifo");
-    assert_eq!(
-        factorize_multifrontal(&mut f0.clone(), &a).unwrap_err(),
-        want,
-        "multifrontal"
-    );
-}
-
-#[test]
-fn injected_npd_is_consistent_across_seq_sched_fifo() {
-    // Data-level NPD injection hits the scattered factor storage, which
-    // seq, sched, and fifo all consume — the error must be identical.
-    let prob = sparsemat::gen::grid2d(9);
-    let (f0, plan) = prepared(&prob, 3, 4);
-    let mut tested = 0;
-    for seed in 0..12u64 {
-        let fp = FaultPlan::new(seed).with_npd(80);
-        let mut f_seq = f0.clone();
-        let cols = fp.inject_npd(&mut f_seq);
-        let Some(&c) = cols.first() else { continue };
-        tested += 1;
-        let want = Error::NotPositiveDefinite { col: c };
-        assert_eq!(factorize_seq(&mut f_seq), Err(want.clone()), "seed {seed} seq");
-        let mut f_sched = f0.clone();
-        fp.inject_npd(&mut f_sched);
+    for workers in [1usize, 2, 4] {
+        let opts = SchedOptions { workers: Some(workers), ..Default::default() };
         assert_eq!(
-            factorize_sched_opts(&mut f_sched, &plan, &SchedOptions::default()).unwrap_err(),
+            factorize_sched_opts(&mut f0.clone(), &plan, &opts).unwrap_err(),
             want,
-            "seed {seed} sched"
+            "sched workers={workers}"
         );
-        let mut f_fifo = f0.clone();
-        fp.inject_npd(&mut f_fifo);
-        assert_eq!(factorize_fifo(&mut f_fifo, &plan).unwrap_err(), want, "seed {seed} fifo");
     }
-    assert!(tested >= 6, "only {tested}/12 seeds injected anything — raise the rate");
 }

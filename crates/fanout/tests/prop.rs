@@ -77,7 +77,7 @@ proptest! {
     }
 
     #[test]
-    fn threaded_and_seq_and_sim_agree(
+    fn sched_and_seq_and_sim_agree(
         a in arb_spd(30),
         bs in 1usize..5,
         p in 1usize..6,
@@ -93,15 +93,15 @@ proptest! {
             None,
         );
         let plan = Plan::build(&bm, &asg);
-        // Numerics: threaded == sequential.
+        // Numerics: scheduled == sequential, bit for bit.
         let mut f_seq = NumericFactor::from_matrix(bm.clone(), &pa);
         fanout::factorize_seq(&mut f_seq).unwrap();
         let mut f_par = NumericFactor::from_matrix(bm.clone(), &pa);
-        fanout::factorize_threaded(&mut f_par, &plan).unwrap();
+        fanout::factorize_sched(&mut f_par, &plan).unwrap();
         let (_, _, vs) = f_seq.to_csc();
         let (_, _, vp) = f_par.to_csc();
         for (x, y) in vs.iter().zip(&vp) {
-            prop_assert!((x - y).abs() < 1e-9);
+            prop_assert!(x.to_bits() == y.to_bits());
         }
         // Simulation completes with sane outcome under both policies.
         let plan = Arc::new(plan);

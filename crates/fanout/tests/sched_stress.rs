@@ -50,7 +50,6 @@ fn stress(prob: &sparsemat::Problem, bs: usize, p: usize, workers: usize, what: 
         };
         let stats = factorize_sched_opts(&mut f_par, &plan, &opts).unwrap();
         assert_bit_identical(&f_seq, &f_par, &format!("{what}, seed {seed}"));
-        assert_eq!(stats.blocks_copied, 0, "{what}: scheduler must never copy blocks");
         assert_eq!(
             stats.columns_factored as usize,
             f0.bm.num_panels(),
@@ -86,7 +85,6 @@ fn many_vprocs_on_few_workers() {
         let stats = factorize_sched_opts(&mut f_par, &plan, &opts).unwrap();
         assert_eq!(stats.p, 64);
         assert_eq!(stats.workers, 4);
-        assert_eq!(stats.blocks_copied, 0);
         assert_bit_identical(&f_seq, &f_par, &format!("p=64 on 4 workers, seed {seed}"));
     }
 }

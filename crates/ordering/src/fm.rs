@@ -26,7 +26,7 @@
 //! The invariant "no low–high edge" holds on entry and exit of every pass.
 //! A move into a side whose weight would exceed the cap is skipped, which
 //! both bounds imbalance and guarantees the recursion in
-//! [`crate::nd_graph`] keeps shrinking (a side can never swallow the whole
+//! [`crate::nd_graph()`] keeps shrinking (a side can never swallow the whole
 //! region).
 
 use crate::coarsen::LevelGraph;

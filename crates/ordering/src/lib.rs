@@ -13,7 +13,7 @@
 //! * [`nested_dissection`] — geometric nested dissection for problems with
 //!   node coordinates, recursing on coordinate-median planes and ordering
 //!   separators last, with minimum degree on the base regions.
-//! * [`nd_graph`] — graph-based nested dissection for patterns *without*
+//! * [`mod@nd_graph`] — graph-based nested dissection for patterns *without*
 //!   coordinates: supervariable compression, multilevel heavy-edge
 //!   coarsening ([`coarsen`]), BFS level-set bisection of the coarsest
 //!   graph, and Fiduccia–Mattheyses separator refinement ([`fm`]) during
@@ -32,7 +32,7 @@
 //!   also returns the [`SeparatorTree`] when dissection ran, which drives
 //!   subtree-parallel symbolic analysis and proportional mapping downstream.
 //!
-//! The [`reference`] module contains a naive "elimination game" used by tests
+//! The [`mod@reference`] module contains a naive "elimination game" used by tests
 //! (here and in dependent crates) to validate fill counts independently.
 
 pub mod coarsen;

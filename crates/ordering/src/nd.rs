@@ -7,7 +7,7 @@
 //! halves are ordered recursively, and the separator is ordered last. Small
 //! base regions are ordered with minimum degree.
 //!
-//! Like the coordinate-free [`crate::nd_graph`], the recursion is recorded
+//! Like the coordinate-free [`crate::nd_graph()`], the recursion is recorded
 //! as a [`SeparatorTree`] (see [`nested_dissection_with_tree`]).
 
 use crate::mindeg::MindegScratch;
@@ -203,7 +203,7 @@ impl Dissector<'_> {
     }
 }
 
-/// Orders a base-case region (shared with [`crate::nd_graph`]): natural
+/// Orders a base-case region (shared with [`crate::nd_graph()`]): natural
 /// order, or minimum degree on the region's induced subgraph, which is handed
 /// to the minimum-degree state directly — local index = position in `region`
 /// — without materializing a pattern or a graph. `local` is a vertex → local

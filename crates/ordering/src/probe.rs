@@ -8,7 +8,7 @@
 //! analysis:
 //!
 //! * **Dissection side**: run the same compressed first-level bisection the
-//!   real [`crate::nd_graph`] would (level-set cut + FM refinement), giving
+//!   real [`crate::nd_graph()`] would (level-set cut + FM refinement), giving
 //!   the top separator weight `s₁` and balance. Bisect the heavier half once
 //!   more for `s₂` and fit a separator growth exponent
 //!   `α = ln(s₁/s₂) / ln(w₁/w₂)` — grids have `α ≈ 1/2` (2-D) or `2/3`
@@ -38,7 +38,7 @@ use sparsemat::{BfsScratch, Graph};
 /// The concrete ordering the probe resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeChoice {
-    /// Graph nested dissection ([`crate::nd_graph`]) is predicted cheaper.
+    /// Graph nested dissection ([`crate::nd_graph()`]) is predicted cheaper.
     NestedDissection,
     /// Minimum degree ([`crate::minimum_degree`]) is predicted cheaper.
     MinimumDegree,

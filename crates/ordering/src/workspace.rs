@@ -154,7 +154,7 @@ pub fn compressions_on_this_thread() -> u64 {
 /// one graph, one compression and one set of scratch arrays.
 ///
 /// Every method returns exactly what the free function of the same name
-/// returns ([`crate::probe_structure`], [`crate::nd_graph`],
+/// returns ([`crate::probe_structure`], [`crate::nd_graph()`],
 /// [`crate::minimum_degree`]); those are thin wrappers over a fresh
 /// `Orderer`.
 pub struct Orderer<'g> {
@@ -209,7 +209,7 @@ impl<'g> Orderer<'g> {
         report
     }
 
-    /// Nested dissection of this graph; see [`crate::nd_graph`].
+    /// Nested dissection of this graph; see [`crate::nd_graph()`].
     pub fn nd_graph(&mut self, opts: &NdGraphOptions) -> (Permutation, SeparatorTree) {
         if opts.compress {
             self.ensure_quotient();

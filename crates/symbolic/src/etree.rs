@@ -1,4 +1,4 @@
-//! Elimination trees (Liu 1990, the paper's reference [10]).
+//! Elimination trees (Liu 1990, the paper's reference \[10\]).
 
 use sparsemat::{Permutation, SparsityPattern};
 

@@ -3,7 +3,7 @@
 //! Everything that happens between "a permuted SPD matrix" and "a block
 //! structure the numeric factorization can execute":
 //!
-//! * [`etree`] — the elimination tree (Liu's algorithm with path
+//! * [`mod@etree`] — the elimination tree (Liu's algorithm with path
 //!   compression), postordering, depths and subtree aggregation;
 //! * [`colcount`] — exact per-column nonzero counts of the factor `L` in
 //!   `O(nnz(L))` time via row-subtree traversal, without forming `L`;

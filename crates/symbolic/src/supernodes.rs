@@ -3,7 +3,7 @@
 //!
 //! A supernode is a set of adjacent factor columns sharing one nonzero
 //! structure below a dense diagonal block (paper Section 2.2). Amalgamation
-//! (Ashcraft & Grimes, the paper's reference [1]) merges a supernode into its
+//! (Ashcraft & Grimes, the paper's reference \[1\]) merges a supernode into its
 //! parent when doing so adds only a tolerable number of explicit zeros; the
 //! paper uses it in all experiments.
 

@@ -57,8 +57,8 @@ pub enum TaskKind {
     Steal = 3,
     /// Parked or spinning with no runnable task.
     Idle = 4,
-    /// Waiting on / receiving a remote block (channel baseline: the blocking
-    /// `recv`; simulated Paragon: an instantaneous arrival marker).
+    /// Receiving a remote block (simulated Paragon: an instantaneous
+    /// arrival marker).
     Recv = 5,
 }
 
@@ -109,8 +109,8 @@ impl TaskKind {
 /// One traced interval.
 ///
 /// `block` identifies what the interval acted on in executor-defined terms:
-/// the plan's flat block id for the plan-driven executors (scheduler, FIFO
-/// baseline, simulated Paragon), the destination panel index for the
+/// the plan's flat block id for the plan-driven executors (scheduler,
+/// simulated Paragon), the destination panel index for the
 /// sequential reference (which has no plan), [`NO_BLOCK`] for idle periods.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {

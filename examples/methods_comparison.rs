@@ -1,12 +1,11 @@
-//! Three organizations of sparse Cholesky on the same matrix:
+//! Two organizations of sparse Cholesky on the same matrix:
 //!
 //! * simplicial left-looking (column at a time, no blocks — the 1980s
-//!   baseline),
-//! * block right-looking (the paper's sequential kernel organization),
-//! * multifrontal (dense fronts + update stack, reference [13]).
+//!   baseline, and this repository's independent oracle),
+//! * block fan-out (the paper's right-looking block kernels).
 //!
-//! All three produce the same factor; the wall-clock differences show why
-//! the paper builds on blocks.
+//! Both produce the same factor; the wall-clock difference shows why the
+//! paper builds on blocks.
 //!
 //! ```text
 //! cargo run --release --example methods_comparison [grid_dim]
@@ -36,31 +35,21 @@ fn main() {
     let simp = fanout::factorize_simplicial(&solver.permuted, &cp, &ri).unwrap();
     let t_simp = t.elapsed().as_secs_f64();
 
-    // 2. Block right-looking (the paper's kernels).
+    // 2. Block fan-out (the paper's kernels).
     let t = Instant::now();
     let f_block = solver.factor_seq().unwrap();
     let t_block = t.elapsed().as_secs_f64();
 
-    // 3. Multifrontal.
-    let t = Instant::now();
-    let f_mf = solver.factor_multifrontal().unwrap();
-    let t_mf = t.elapsed().as_secs_f64();
-
     println!("{:<22} {:>10} {:>12}", "method", "time", "Mflop/s");
-    for (name, secs) in [
-        ("simplicial (no blocks)", t_simp),
-        ("block right-looking", t_block),
-        ("multifrontal", t_mf),
-    ] {
+    for (name, secs) in [("simplicial (no blocks)", t_simp), ("block fan-out", t_block)] {
         println!("{:<22} {:>8.1}ms {:>12.0}", name, secs * 1e3, ops / secs / 1e6);
     }
 
-    // All three agree.
+    // The two agree.
     let (_, _, vb) = f_block.to_csc();
-    let (_, _, vm) = f_mf.to_csc();
     let mut max_diff: f64 = 0.0;
-    for ((s, b), m) in simp.values.iter().zip(&vb).zip(&vm) {
-        max_diff = max_diff.max((s - b).abs()).max((s - m).abs());
+    for (s, b) in simp.values.iter().zip(&vb) {
+        max_diff = max_diff.max((s - b).abs());
     }
     println!("\nmax cross-method factor difference: {max_diff:.2e}");
     assert!(max_diff < 1e-9);

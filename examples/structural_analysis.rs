@@ -8,12 +8,12 @@
 //! ```
 //!
 //! Demonstrates:
-//! * the threaded SPMD executor (real numerics, one thread per processor,
-//!   data-driven block fan-out exactly as in the paper);
+//! * the work-stealing scheduler (real numerics: the virtual-processor
+//!   plan of the paper's block fan-out on this machine's worker threads);
 //! * how the mapping changes the load balance of the same computation;
 //! * factor once, solve many right-hand sides.
 
-use block_fanout_cholesky::core::{Solver, SolverOptions};
+use block_fanout_cholesky::core::{SchedOptions, Solver, SolverOptions};
 use block_fanout_cholesky::sparsemat::gen;
 
 fn main() {
@@ -40,9 +40,9 @@ fn main() {
     println!("heuristic (ID/CY): overall balance {:.2} (row {:.2}, col {:.2}, diag {:.2})",
         bh.overall, bh.row, bh.col, bh.diag);
 
-    // Factor on the better mapping with the real threaded executor.
-    let factor = solver
-        .factor_parallel(&remapped)
+    // Factor on the better mapping with the work-stealing scheduler.
+    let (factor, _) = solver
+        .factor_sched(&remapped, &SchedOptions::default())
         .expect("stiffness matrix is SPD");
     println!("parallel factor residual: {:.2e}", solver.residual(&factor));
 

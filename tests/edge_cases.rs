@@ -1,7 +1,8 @@
 //! Degenerate and boundary inputs through the full pipeline.
 
 use block_fanout_cholesky::core::{
-    ColPolicy, Heuristic, MachineModel, ProcGrid, RowPolicy, Solver, SolverOptions,
+    ColPolicy, Heuristic, MachineModel, ProcGrid, RowPolicy, SchedOptions, SolveWorkspace, Solver,
+    SolverOptions,
 };
 use block_fanout_cholesky::sparsemat::{gen, Problem, SymCscMatrix};
 
@@ -20,7 +21,7 @@ fn one_by_one_matrix() {
     assert!((x[0] - 2.0).abs() < 1e-12);
     // Parallel paths and simulation on the degenerate case.
     let asg = solver.assign_cyclic(1);
-    let f2 = solver.factor_parallel(&asg).unwrap();
+    let f2 = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!((f2.get(0, 0) - 2.0).abs() < 1e-15);
     let out = solver.simulate(&asg, &MachineModel::paragon());
     assert!(out.report.makespan_s > 0.0);
@@ -37,7 +38,7 @@ fn diagonal_matrix_has_no_communication() {
     let asg = solver.assign_cyclic(4);
     let comm = solver.comm(&asg);
     assert_eq!(comm.messages, 0, "diagonal matrix should not communicate");
-    let f = solver.factor_parallel(&asg).unwrap();
+    let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     // Factor positions are in the fill-reduced ordering.
     for i in 0..12 {
         let old = solver.analysis.perm.old_of_new(i);
@@ -51,7 +52,7 @@ fn more_processors_than_panels() {
     let solver = Solver::analyze_problem(&p, &SolverOptions { block_size: 8, ..Default::default() });
     assert!(solver.bm.num_panels() < 64);
     let asg = solver.assign_cyclic(64);
-    let f = solver.factor_parallel(&asg).unwrap();
+    let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!(solver.residual(&f) < 1e-12);
     let out = solver.simulate(&asg, &MachineModel::paragon());
     assert!(out.efficiency > 0.0);
@@ -92,7 +93,7 @@ fn one_by_n_grid_assignment() {
             RowPolicy::Heuristic(Heuristic::DecreasingWork),
             ColPolicy::Heuristic(Heuristic::IncreasingDepth),
         );
-        let f = solver.factor_parallel(&asg).unwrap();
+        let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
         assert!(solver.residual(&f) < 1e-12);
         let rep = solver.balance(&asg);
         assert!(rep.overall > 0.0 && rep.overall <= 1.0);
@@ -116,7 +117,7 @@ fn disconnected_components_factor_independently() {
     let f = solver.factor_seq().unwrap();
     assert!(solver.residual(&f) < 1e-12);
     let asg = solver.assign_heuristic(4);
-    let f2 = solver.factor_parallel(&asg).unwrap();
+    let f2 = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!(solver.residual(&f2) < 1e-12);
 }
 
@@ -253,7 +254,7 @@ fn nearly_singular_matrix_solves_with_refinement() {
     let x_true = vec![1.0; 50];
     let mut b = vec![0.0; 50];
     a.mul_vec(&x_true, &mut b);
-    let (x, resid) = solver.solve_refined(&a, &f, &b, 5);
+    let (x, resid) = solver.solve_refined(&a, &f, &b, 5, &mut SolveWorkspace::new());
     assert!(resid < 1e-12, "refined residual {resid}");
     let _ = x;
 }

@@ -3,7 +3,7 @@
 //! executors.
 
 use block_fanout_cholesky::core::{
-    ColPolicy, Heuristic, MachineModel, RowPolicy, Solver, SolverOptions,
+    ColPolicy, Heuristic, MachineModel, RowPolicy, SchedOptions, Solver, SolverOptions,
 };
 use block_fanout_cholesky::sparsemat::{gen, Problem};
 
@@ -59,7 +59,7 @@ fn threaded_executor_agrees_with_sequential_across_configs() {
                 (RowPolicy::AltPerProcessor, ColPolicy::Subtree),
             ] {
                 let asg = solver.assign(p, row, col);
-                let f_par = solver.factor_parallel(&asg).unwrap();
+                let f_par = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
                 let (_, _, vs) = f_seq.to_csc();
                 let (_, _, vp) = f_par.to_csc();
                 let max_diff = vs
@@ -99,7 +99,7 @@ fn domains_off_still_works_end_to_end() {
     let solver = Solver::analyze_problem(&problem, &o);
     let asg = solver.assign_cyclic(4);
     assert!(asg.domains.is_none());
-    let f = solver.factor_parallel(&asg).unwrap();
+    let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!(solver.residual(&f) < 1e-12);
     check_solve(&problem, &solver, &f);
 }
@@ -246,7 +246,7 @@ fn coprime_grid_assignment_runs() {
         RowPolicy::Heuristic(Heuristic::Cyclic),
         ColPolicy::Heuristic(Heuristic::Cyclic),
     );
-    let f = solver.factor_parallel(&asg).unwrap();
+    let f = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
     assert!(solver.residual(&f) < 1e-12);
     let out = solver.simulate(&asg, &MachineModel::paragon());
     assert!(out.efficiency > 0.0 && out.efficiency <= 1.0);
@@ -258,7 +258,7 @@ fn distributed_solve_matches_gathered_solve() {
     let solver = Solver::analyze_problem(&problem, &opts(6));
     for p in [1, 4, 9] {
         let asg = solver.assign_heuristic(p);
-        let factor = solver.factor_parallel(&asg).unwrap();
+        let factor = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
         let n = problem.n();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos() + 2.0).collect();
         let mut b = vec![0.0; n];

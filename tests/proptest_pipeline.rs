@@ -3,7 +3,7 @@
 //! valid configurations.
 
 use block_fanout_cholesky::core::{
-    ColPolicy, Heuristic, ProcGrid, RowPolicy, Solver, SolverOptions,
+    ColPolicy, Heuristic, ProcGrid, RowPolicy, SchedOptions, Solver, SolverOptions,
 };
 use block_fanout_cholesky::sparsemat::{gen, Problem, SymCscMatrix};
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
             ColPolicy::Heuristic(ch),
         );
         let f_seq = solver.factor_seq().unwrap();
-        let f_par = solver.factor_parallel(&asg).unwrap();
+        let f_par = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
         let (_, _, vs) = f_seq.to_csc();
         let (_, _, vp) = f_par.to_csc();
         for (x, y) in vs.iter().zip(&vp) {
@@ -210,7 +210,7 @@ proptest! {
         let load = asg.per_proc_work(&solver.work);
         prop_assert_eq!(load.iter().sum::<u64>(), solver.work.total);
         let f_seq = solver.factor_seq().expect("SPD by construction");
-        let f_par = solver.factor_parallel(&asg).expect("SPD by construction");
+        let f_par = solver.factor_sched(&asg, &SchedOptions::default()).expect("SPD by construction").0;
         prop_assert!(solver.residual(&f_par) < 1e-10);
         let (_, _, vs) = f_seq.to_csc();
         let (_, _, vp) = f_par.to_csc();

@@ -71,7 +71,7 @@ fn prefired_cancel_poisons_then_recovers_bit_identically() {
         let mut s = fx.solver.session_sched(&asg, &SchedOptions::default());
         let token = CancelToken::new();
         assert!(token.cancel());
-        s.cancel = Some(token.clone());
+        s.opts.cancel = Some(token.clone());
         let t0 = Instant::now();
         match s.refactor(fx.a.values()) {
             Err(SolverError::Factor(FactorError::Cancelled { reason, .. })) => {
@@ -89,7 +89,7 @@ fn prefired_cancel_poisons_then_recovers_bit_identically() {
         ));
         // Recovery: disarm the token and refactor the same values. The
         // result must be bit-identical to the fresh session's.
-        s.cancel = None;
+        s.opts.cancel = None;
         s.refactor(fx.a.values())
             .unwrap_or_else(|e| panic!("seed {seed}: recovery refactor failed: {e}"));
         assert!(!s.is_poisoned(), "seed {seed}");
@@ -107,7 +107,7 @@ fn expired_deadline_poisons_then_recovers_bit_identically() {
         let fx = fixture(seed);
         let asg = fx.solver.assign_cyclic(4);
         let mut s = fx.solver.session_sched(&asg, &SchedOptions::default());
-        s.deadline = Some(Duration::ZERO);
+        s.opts.deadline = Some(Duration::ZERO);
         match s.refactor(fx.a.values()) {
             Err(SolverError::Factor(FactorError::Cancelled { reason, .. })) => {
                 assert_eq!(reason, CancelReason::Deadline, "seed {seed}");
@@ -117,7 +117,7 @@ fn expired_deadline_poisons_then_recovers_bit_identically() {
         assert!(s.is_poisoned(), "seed {seed}");
         assert_eq!(s.resilience().deadline_misses, 1, "seed {seed}");
         assert_eq!(s.resilience().cancellations, 1, "seed {seed}");
-        s.deadline = None;
+        s.opts.deadline = None;
         s.refactor(fx.a.values())
             .unwrap_or_else(|e| panic!("seed {seed}: recovery refactor failed: {e}"));
         assert_eq!(factor_bits(&s), fx.ref_bits, "seed {seed}: recovered bits differ");
@@ -262,21 +262,18 @@ fn vanished_tasks_stall_structured_under_a_short_watchdog() {
 }
 
 #[test]
-fn session_stall_timeout_flows_from_solver_options() {
-    // SolverOptions.stall_timeout seeds the scheduler watchdog when the
-    // per-session SchedOptions leaves it at the default.
+fn session_stall_timeout_is_the_sessions_sched_option() {
+    // The watchdog a session runs under is the one in its options — set at
+    // open or, as here, on the open session — and nothing else.
     let prob = gen::grid2d(8);
-    let opts = SolverOptions {
-        stall_timeout: Some(Duration::from_millis(250)),
-        ..Default::default()
-    };
-    let solver = Solver::analyze(&prob.matrix, &opts);
+    let solver = Solver::analyze(&prob.matrix, &SolverOptions::default());
     let asg = solver.assign_cyclic(4);
     let sched = SchedOptions {
         faults: Some(FaultPlan::new(3).with_lost_tasks(1000)),
         ..Default::default()
     };
     let mut s = solver.session_sched(&asg, &sched);
+    s.opts.stall_timeout = Some(Duration::from_millis(250));
     s.retry = RetryPolicy::disabled();
     let t0 = Instant::now();
     match s.refactor(prob.matrix.values()) {
