@@ -203,6 +203,7 @@ fn main() {
         ]);
     }
     println!("{table}");
+    println!("register tile: {}", dense::pack::TILE);
 
     let env = bench::WorkerEnv::probe_and_warn("kernbench");
     let env_fields = env.json_fields();
@@ -212,9 +213,10 @@ fn main() {
             out.push_str(",\n");
         }
         out.push_str(&format!(
-            "  {{\"kernel\":{},\"shape\":{},\"block_policy\":\"n/a\",{env_fields},\"flops\":{},\"ref_s\":{:.6e},\"new_s\":{:.6e},\"ref_mflops\":{:.1},\"new_mflops\":{:.1},\"speedup\":{:.3}}}",
+            "  {{\"kernel\":{},\"shape\":{},\"tile\":{},\"block_policy\":\"n/a\",{env_fields},\"flops\":{},\"ref_s\":{:.6e},\"new_s\":{:.6e},\"ref_mflops\":{:.1},\"new_mflops\":{:.1},\"speedup\":{:.3}}}",
             json_str(r.kernel),
             json_str(&r.shape),
+            json_str(dense::pack::TILE),
             r.flops,
             r.ref_s,
             r.new_s,

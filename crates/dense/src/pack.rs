@@ -9,10 +9,28 @@
 //! contiguously. Edge tiles are zero-padded during packing and masked on
 //! write-back, so every shape runs through the same inner loop.
 //!
-//! The microkernel is written so LLVM turns the `NR`-wide inner loop into
-//! vector FMAs (one `MR=8`, `NR=8` tile is eight 8-lane accumulators on
-//! AVX-512, sixteen 4-lane ones on AVX2). Build with `-C target-cpu=native`
-//! (see `.cargo/config.toml`) to get the full-width code.
+//! Two register tiles are compiled from this file, chosen by the target and
+//! by nothing else, and one `macro_kernel` drives whichever it is:
+//!
+//! * with `cfg(target_feature = "avx512f")` (what `-C target-cpu=native` in
+//!   `.cargo/config.toml` gives on an AVX-512 host) an explicit `std::arch`
+//!   tile of `MR = 8` rows × `2·NR = 16` columns: one `A` micro-panel
+//!   against two adjacent `B` micro-panels, sixteen `zmm` accumulators, each
+//!   broadcast of `A` feeding two 512-bit FMAs, written back straight from
+//!   the registers through per-row lane masks (ragged edges and the SYRK
+//!   diagonal are the same masked store);
+//! * everywhere else the portable 8×8 loop (`microkernel` + `write_tile`),
+//!   written so LLVM vectorises the `NR`-wide inner loop for whatever the
+//!   target has. On an AVX-512 host it is also compiled under `cfg(test)`,
+//!   as the oracle the explicit tile must match bit for bit.
+//!
+//! Autovectorisation alone was not enough: rustc's `native` CPU on the build
+//! host (emeraldrapids) carries LLVM's prefer-256-bit tuning, so the portable
+//! loop came out as sixteen `ymm` accumulators (`vfmadd231pd %ymm…`) and ran
+//! at half the machine's FMA width; the `[[f64; NR]; MR]` it returns is then
+//! spilled and re-read by the write-back. Both tiles compute, per element of
+//! `C`, the same ascending-`k` FMA chain from zero and the same single
+//! write-back operation, so they agree bitwise.
 //!
 //! SYRK (`C := C ∓ A·Aᵀ`, lower triangle) reuses the same packing and
 //! microkernel; tiles entirely above the diagonal are skipped before any
@@ -129,6 +147,20 @@ pub fn unpack_rows(dst: &mut [f64], ld: usize, src: &[f64], rows: usize, kc: usi
     }
     for (pi, panel) in src[..packed_len(rows, kc)].chunks_exact(kc * MR).enumerate() {
         let h = (rows - pi * MR).min(MR);
+        if h == MR {
+            // Full panel: walk the eight rows in step so each group of `MR`
+            // lanes is read with one contiguous load.
+            let mut strided = dst[pi * MR * ld..].chunks_mut(ld);
+            let r: [&mut [f64]; MR] = std::array::from_fn(|_| {
+                &mut strided.next().expect("a full panel has MR rows")[..kc]
+            });
+            for (p, group) in panel.chunks_exact(MR).enumerate() {
+                for lane in 0..MR {
+                    r[lane][p] = group[lane];
+                }
+            }
+            continue;
+        }
         for r in 0..h {
             let row = &mut dst[(pi * MR + r) * ld..(pi * MR + r) * ld + kc];
             for (p, v) in row.iter_mut().enumerate() {
@@ -138,8 +170,53 @@ pub fn unpack_rows(dst: &mut [f64], ld: usize, src: &[f64], rows: usize, kc: usi
     }
 }
 
-/// The register tile: `acc[r][j] += Σ_p ap[p][r] · bp[p][j]` over one packed
-/// `A` micro-panel and one packed `B` micro-panel.
+/// One register tile of `C`: what [`macro_kernel`] computes each
+/// `MR × PANELS·NR` piece with. Implemented twice — [`Portable`] and, where
+/// the target has it, [`avx512::Tile16`] — and selected as [`Native`].
+trait Tile {
+    /// Shape and instruction set, for benchmark records.
+    const NAME: &'static str;
+    /// Adjacent `B` micro-panels one tile spans.
+    const PANELS: usize;
+
+    /// Applies `op` to the `h × w` corner at `c[0]` (row stride `ldc`) with
+    /// the product of the `A` micro-panel `ap` and the `w.div_ceil(NR)`
+    /// micro-panels at the head of `bp`, all `kc` deep. `diag` is the column,
+    /// relative to the tile, that the diagonal crosses in row 0: row `r` is
+    /// written in columns `j ≤ diag + r` only (`isize::MAX`: every column).
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+        h: usize,
+        w: usize,
+        op: WriteOp,
+        diag: isize,
+    );
+}
+
+/// The tile the public entry points run on this target.
+#[cfg(target_feature = "avx512f")]
+type Native = avx512::Tile16;
+#[cfg(not(target_feature = "avx512f"))]
+type Native = Portable;
+
+/// Which register tile this build of the crate runs: `"8x16 avx512f"` or
+/// `"8x8 portable"`.
+pub const TILE: &str = Native::NAME;
+
+/// Columns of tile row `r` that lie on or below the diagonal, at most `w`.
+#[inline(always)]
+fn row_width(diag: isize, r: usize, w: usize) -> usize {
+    diag.saturating_add(r as isize + 1).clamp(0, w as isize) as usize
+}
+
+/// The portable register tile: `acc[r][j] += Σ_p ap[p][r] · bp[p][j]` over
+/// one packed `A` micro-panel and one packed `B` micro-panel.
+#[cfg(any(test, not(target_feature = "avx512f")))]
 #[inline(always)]
 fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
@@ -158,6 +235,7 @@ fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; NR]; MR] {
 
 /// Writes an `h × w` corner of the accumulator tile into `c` (row stride
 /// `ldc`).
+#[cfg(any(test, not(target_feature = "avx512f")))]
 #[inline(always)]
 fn write_tile(c: &mut [f64], ldc: usize, h: usize, w: usize, acc: &[[f64; NR]; MR], op: WriteOp) {
     match op {
@@ -187,6 +265,7 @@ fn write_tile(c: &mut [f64], ldc: usize, h: usize, w: usize, acc: &[[f64; NR]; M
 
 /// Like [`write_tile`] but only touches elements on or below the global
 /// diagonal; `grow`/`gcol` are the global indices of the tile origin.
+#[cfg(any(test, not(target_feature = "avx512f")))]
 #[allow(clippy::too_many_arguments)]
 fn write_tile_lower(
     c: &mut [f64],
@@ -221,14 +300,173 @@ fn write_tile_lower(
     }
 }
 
-/// Runs the microkernel over one packed `mc × nc` block of `C`.
+/// The 8×8 tile every target can run: [`microkernel`] into a
+/// `[[f64; NR]; MR]`, then [`write_tile`] or, where the tile straddles the
+/// diagonal, [`write_tile_lower`].
+#[cfg(any(test, not(target_feature = "avx512f")))]
+struct Portable;
+
+#[cfg(any(test, not(target_feature = "avx512f")))]
+impl Tile for Portable {
+    const NAME: &'static str = "8x8 portable";
+    const PANELS: usize = 1;
+
+    #[inline(always)]
+    fn run(
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+        h: usize,
+        w: usize,
+        op: WriteOp,
+        diag: isize,
+    ) {
+        let acc = microkernel(kc, ap, bp);
+        if row_width(diag, 0, w) < w {
+            // `write_tile_lower` takes global origins; only their difference
+            // (`diag`) matters.
+            let (grow, gcol) = (diag.max(0) as usize, (-diag).max(0) as usize);
+            write_tile_lower(c, ldc, h, w, &acc, op, grow, gcol);
+        } else {
+            write_tile(c, ldc, h, w, &acc, op);
+        }
+    }
+}
+
+/// The explicit AVX-512 tile. Compiled only when `avx512f` is statically
+/// enabled for the whole crate, so there is nothing to detect at run time.
+#[cfg(target_feature = "avx512f")]
+mod avx512 {
+    use super::{row_width, Tile, WriteOp, MR, NR};
+    use std::arch::x86_64::*;
+
+    // One `zmm` register is one row of a micro-panel group.
+    const _: () = assert!(NR == 8 && MR == 8);
+
+    /// 8 rows × 16 columns: one `A` micro-panel against two adjacent `B`
+    /// micro-panels in sixteen `zmm` accumulators. Where only one panel of
+    /// columns exists, or the second lies wholly above the diagonal, the same
+    /// code runs 8 × 8 in eight.
+    pub(super) struct Tile16;
+
+    impl Tile for Tile16 {
+        const NAME: &'static str = "8x16 avx512f";
+        const PANELS: usize = 2;
+
+        #[inline(always)]
+        fn run(
+            kc: usize,
+            ap: &[f64],
+            bp: &[f64],
+            c: &mut [f64],
+            ldc: usize,
+            h: usize,
+            w: usize,
+            op: WriteOp,
+            diag: isize,
+        ) {
+            // The last row is the widest one a lower-triangle mask leaves.
+            let w = row_width(diag, h - 1, w);
+            // SAFETY: this module exists only under
+            // `cfg(target_feature = "avx512f")`: the feature is enabled for
+            // every function of the crate, this caller included.
+            unsafe {
+                if w <= NR {
+                    tile::<1>(kc, ap, bp, c, ldc, h, w, op, diag)
+                } else {
+                    tile::<2>(kc, ap, bp, c, ldc, h, w, op, diag)
+                }
+            }
+        }
+    }
+
+    /// `c[r][j] ∘= Σ_p ap[p][r] · bp[j / NR][p][j % NR]` for `r < h` and
+    /// `j < row_width(diag, r, w)`: per element one ascending-`p` FMA chain
+    /// from zero, then `op` once — the portable tile's arithmetic exactly.
+    /// Nothing else of `c` is read or written.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const NP: usize>(
+        kc: usize,
+        ap: &[f64],
+        bp: &[f64],
+        c: &mut [f64],
+        ldc: usize,
+        h: usize,
+        w: usize,
+        op: WriteOp,
+        diag: isize,
+    ) {
+        let mut acc = [[_mm512_setzero_pd(); NP]; MR];
+        // Panel `q` of `bp`, eight doubles (one `zmm`) per step of `k`.
+        let mut bq: [_; NP] =
+            std::array::from_fn(|q| bp[q * kc * NR..(q + 1) * kc * NR].chunks_exact(NR));
+        for a in ap[..kc * MR].chunks_exact(MR) {
+            let b: [__m512d; NP] = std::array::from_fn(|q| {
+                let b = bq[q].next().expect("every panel is kc groups long");
+                // SAFETY: `chunks_exact(NR)` yields eight doubles.
+                unsafe { _mm512_loadu_pd(b.as_ptr()) }
+            });
+            for r in 0..MR {
+                let ar = _mm512_set1_pd(a[r]);
+                for q in 0..NP {
+                    acc[r][q] = _mm512_fmadd_pd(ar, b[q], acc[r][q]);
+                }
+            }
+        }
+
+        // The footprint every store below stays inside, checked once
+        // (a checked slice per row and register costs 15–25 % of a tile at
+        // `kc ≤ 16`, where most of the factor's updates are).
+        assert!((1..=MR).contains(&h) && (1..=NP * NR).contains(&w));
+        let foot = (h - 1).checked_mul(ldc).and_then(|above| above.checked_add(w));
+        assert!(foot.is_some_and(|foot| foot <= c.len()), "tile outside the c view");
+        // One row of the tile: `op` on its leading `row_width` columns, one
+        // masked `zmm` per micro-panel.
+        let mut row = |r: usize, acc: [__m512d; NP]| {
+            let lanes = (1u32 << row_width(diag, r, w)) - 1;
+            for (q, acc) in acc.into_iter().enumerate() {
+                let k = (lanes >> (q * NR)) as __mmask8;
+                // SAFETY: called with `r < h`, and `q·NR < w` (`NP = 2` only
+                // when `w > NR`), so `r·ldc + q·NR < foot ≤ c.len()` without
+                // overflow. The lanes `k` enables are columns
+                // `< row_width ≤ w` of row `r`, all below `foot`; masked-off
+                // lanes are neither loaded nor stored.
+                unsafe {
+                    let at = c.as_mut_ptr().add(r * ldc + q * NR);
+                    let v = match op {
+                        WriteOp::Set => acc,
+                        WriteOp::Sub => _mm512_sub_pd(_mm512_maskz_loadu_pd(k, at), acc),
+                        WriteOp::Add => _mm512_add_pd(_mm512_maskz_loadu_pd(k, at), acc),
+                    };
+                    _mm512_mask_storeu_pd(at, k, v);
+                }
+            }
+        };
+        // Spelled out row by row: indexing `acc` with a loop variable would
+        // turn the sixteen registers into a stack array first.
+        macro_rules! rows {
+            ($($r:literal)*) => {$(
+                if $r < h {
+                    row($r, acc[$r]);
+                }
+            )*};
+        }
+        rows!(0 1 2 3 4 5 6 7);
+    }
+}
+
+/// Runs tile `T` over one packed `mc × nc` block of `C`.
 ///
 /// `tri = Some((grow, gcol))` gives the global origin of the block for
 /// lower-triangle masking (SYRK): tiles strictly above the diagonal are
-/// skipped before any arithmetic, tiles straddling it take the masked
-/// write-back. `None` writes every tile (GEMM).
+/// skipped before any arithmetic, tiles straddling it are masked row by row.
+/// `None` writes every tile whole (GEMM).
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel(
+fn macro_kernel<T: Tile>(
     c: &mut [f64],
     ldc: usize,
     mc: usize,
@@ -239,27 +477,21 @@ fn macro_kernel(
     op: WriteOp,
     tri: Option<(usize, usize)>,
 ) {
-    for jp in 0..nc.div_ceil(NR) {
-        let j0 = jp * NR;
-        let w = (nc - j0).min(NR);
-        let bpan = &bp[jp * kc * NR..jp * kc * NR + kc * NR];
-        for ip in 0..mc.div_ceil(MR) {
-            let i0 = ip * MR;
+    for j0 in (0..nc).step_by(T::PANELS * NR) {
+        let w = (nc - j0).min(T::PANELS * NR);
+        // `j0` is a whole number of micro-panels, each `kc·NR` long.
+        let bpan = &bp[j0 * kc..(j0 + w.next_multiple_of(NR)) * kc];
+        for i0 in (0..mc).step_by(MR) {
             let h = (mc - i0).min(MR);
-            if let Some((grow, gcol)) = tri {
-                if grow + i0 + h <= gcol + j0 {
-                    continue; // tile entirely above the diagonal
-                }
+            let diag = match tri {
+                Some((grow, gcol)) => (grow + i0) as isize - (gcol + j0) as isize,
+                None => isize::MAX,
+            };
+            if row_width(diag, h - 1, w) == 0 {
+                continue; // tile entirely above the diagonal
             }
-            let apan = &ap[ip * kc * MR..ip * kc * MR + kc * MR];
-            let acc = microkernel(kc, apan, bpan);
-            let ctile = &mut c[i0 * ldc + j0..];
-            match tri {
-                Some((grow, gcol)) if grow + i0 < gcol + j0 + w - 1 => {
-                    write_tile_lower(ctile, ldc, h, w, &acc, op, grow + i0, gcol + j0)
-                }
-                _ => write_tile(ctile, ldc, h, w, &acc, op),
-            }
+            let apan = &ap[i0 * kc..(i0 + MR) * kc];
+            T::run(kc, apan, bpan, &mut c[i0 * ldc + j0..], ldc, h, w, op, diag);
         }
     }
 }
@@ -328,7 +560,7 @@ pub fn gemm_abt_packed(
             for ic in (0..m).step_by(MC) {
                 let mc = (m - ic).min(MC);
                 pack_rows(ap, &a[ic * lda + pc..], lda, mc, kc);
-                macro_kernel(&mut c[ic * ldc + jc..], ldc, mc, nc, kc, ap, bp, op, None);
+                macro_kernel::<Native>(&mut c[ic * ldc + jc..], ldc, mc, nc, kc, ap, bp, op, None);
             }
         }
     }
@@ -383,7 +615,7 @@ pub fn syrk_lt_packed(
             while ic < n {
                 let mc = (n - ic).min(MC);
                 pack_rows(ap, &a[ic * lda + pc..], lda, mc, kc);
-                macro_kernel(
+                macro_kernel::<Native>(
                     &mut c[ic * ldc + jc..],
                     ldc,
                     mc,
@@ -419,7 +651,7 @@ pub fn gemm_prepacked(
     }
     assert!(ldc >= n && c.len() >= (m - 1) * ldc + n, "c view too small");
     assert!(ap.len() >= packed_len(m, k) && bp.len() >= packed_len(n, k), "pack too small");
-    macro_kernel(c, ldc, m, n, k, ap, bp, write_op(mode, true), None);
+    macro_kernel::<Native>(c, ldc, m, n, k, ap, bp, write_op(mode, true), None);
 }
 
 /// Lower triangle of `C := C ∓ A·Aᵀ` out of one [`pack_rows`] operand of `n`
@@ -430,7 +662,7 @@ pub fn syrk_lt_prepacked(mode: Mode, c: &mut [f64], ldc: usize, ap: &[f64], n: u
     }
     assert!(ldc >= n && c.len() >= (n - 1) * ldc + n, "c view too small");
     assert!(ap.len() >= packed_len(n, k), "pack too small");
-    macro_kernel(c, ldc, n, n, k, ap, ap, write_op(mode, true), Some((0, 0)));
+    macro_kernel::<Native>(c, ldc, n, n, k, ap, ap, write_op(mode, true), Some((0, 0)));
 }
 
 /// Forward substitution on `G` consecutive micro-panels at once. Each lane
@@ -633,6 +865,65 @@ mod tests {
                 }
                 for j in (i + 1)..n {
                     assert_eq!(c1[i * n + j], (i * n + j) as f64 * 0.5);
+                }
+            }
+        }
+    }
+
+    /// The tile the entry points run against the portable one, through the
+    /// same `macro_kernel`: every block shape up to three tiles a side, every
+    /// write-back operation, GEMM and every diagonal position a SYRK caller
+    /// can hand over (block origins differ by multiples of `MR`). The
+    /// destination is a wider view full of NaN wherever nothing may be
+    /// written, so the comparison also pins the footprint. (On a target
+    /// without `avx512f` both sides are the portable tile.)
+    #[test]
+    fn native_tile_is_bit_equal_to_portable_tile() {
+        let (rows, kmax) = (40, 48);
+        let a = fill(rows * kmax, |t| (t as f64 * 0.37).sin());
+        let b = fill(rows * kmax, |t| (t as f64 * 0.21).cos());
+        let packed = |src: &[f64], kc: usize| {
+            let mut p = vec![0.0; packed_len(rows, kc)];
+            pack_rows(&mut p, src, kmax, rows, kc);
+            p
+        };
+        let tris = [None, Some((0, 0)), Some((8, 0)), Some((0, 16)), Some((24, 8)), Some((0, 32))];
+        for kc in [1, 9, kmax] {
+            let (ap, bp) = (packed(&a, kc), packed(&b, kc));
+            for mc in 1..=17 {
+                for nc in 1..=rows {
+                    let ldc = nc + 3;
+                    for tri in tris {
+                        for op in [WriteOp::Sub, WriteOp::Set, WriteOp::Add] {
+                            // NaN outside the footprint, numbers inside it
+                            // (`Set` must not read even those).
+                            let mut c0 = vec![f64::NAN; mc * ldc];
+                            for i in 0..mc {
+                                for j in 0..nc {
+                                    let below = tri.is_none_or(|(gr, gc)| gc + j <= gr + i);
+                                    if below && op != WriteOp::Set {
+                                        c0[i * ldc + j] = (i * 41 + j) as f64 * 0.125;
+                                    }
+                                }
+                            }
+                            let (mut c_native, mut c_portable) = (c0.clone(), c0.clone());
+                            macro_kernel::<Native>(
+                                &mut c_native, ldc, mc, nc, kc, &ap, &bp, op, tri,
+                            );
+                            macro_kernel::<Portable>(
+                                &mut c_portable, ldc, mc, nc, kc, &ap, &bp, op, tri,
+                            );
+                            for (t, (x, y)) in c_native.iter().zip(&c_portable).enumerate() {
+                                assert_eq!(
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                    "mc={mc} nc={nc} kc={kc} tri={tri:?} at ({}, {})",
+                                    t / ldc,
+                                    t % ldc
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -140,7 +140,7 @@ proptest! {
 /// tree exactly so these comparisons keep running.
 mod packed {
     use dense::kernels::{self, reference};
-    use dense::pack::{self, Mode, KC, MC, MR, NR};
+    use dense::pack::{self, Mode, KC, MC, MR, NC, NR};
     use dense::KernelArena;
     use proptest::prelude::*;
 
@@ -442,6 +442,121 @@ mod packed {
                     pack::syrk_lt_packed(mode, &mut c, ldc, &a, k, m, k, arena.packs());
                     pack::syrk_lt_prepacked(mode, &mut c_pre, ldc, &ap, m, k);
                     assert_eq!(bits(&c_pre), bits(&c), "syrk {mode:?} n={m} k={k}");
+                }
+            }
+        }
+    }
+
+    /// What every register tile must compute for one element of `C`, spelt
+    /// out in scalars: per `KC` panel an ascending-`k` FMA chain from zero,
+    /// written back once — `Sub` subtracts every panel, `Set` stores the first
+    /// and adds the rest. `prod[i][j]` holds the chains of `a` row `i` against
+    /// `b` row `j`, which depend on nothing else (not on `m`, `n` or the
+    /// tile the element lands in).
+    fn chains(a: &[f64], b: &[f64], rows: usize, k: usize) -> Vec<Vec<f64>> {
+        let fma = |x: f64, y: f64, acc: f64| {
+            if cfg!(target_feature = "fma") {
+                x.mul_add(y, acc)
+            } else {
+                x * y + acc
+            }
+        };
+        (0..rows * rows)
+            .map(|ij| {
+                let (ai, bj) = (&a[ij / rows * k..][..k], &b[ij % rows * k..][..k]);
+                ai.chunks(KC).zip(bj.chunks(KC)).map(|(x, y)| {
+                    x.iter().zip(y).fold(0.0, |acc, (&x, &y)| fma(x, y, acc))
+                })
+                .collect()
+            })
+            .collect()
+    }
+
+    fn write_back(mode: Mode, c: f64, chain: &[f64]) -> f64 {
+        match (mode, chain.split_first()) {
+            (Mode::Sub, _) => chain.iter().fold(c, |c, p| c - p),
+            (Mode::Set, Some((first, rest))) => rest.iter().fold(*first, |c, p| c + p),
+            (Mode::Set, None) => 0.0,
+        }
+    }
+
+    /// The compiled tile against the scalar definition, bit for bit, for
+    /// every `m, n ≤ 40`: all edge widths of an 8-, 16- or wider tile, `k`
+    /// around the micro-panel depth and past `KC` (so `Set`, `Sub` and the
+    /// `Add` continuation are all written). `C` is a view with `ldc > n` whose
+    /// gap cells are NaN — as are, under `Set`, the cells to be written — so a
+    /// masked store one lane too wide, or a load `Set` must not make, fails.
+    /// Run under both compilations of the tile (see the verify skill), this
+    /// is what makes them one function.
+    #[test]
+    fn gemm_tile_is_bit_equal_to_scalar_chains_and_keeps_its_footprint() {
+        let rows = 40;
+        let mut arena = KernelArena::new();
+        for k in [0, 1, 7, 8, 9, 48, KC + 5] {
+            let a = filled(rows * k, 31 + k as u64);
+            let b = filled(rows * k, 32 + k as u64);
+            let prod = chains(&a, &b, rows, k);
+            for m in 1..=rows {
+                for n in 1..=rows {
+                    let ldc = n + 1 + (m + n) % 3;
+                    for mode in [Mode::Sub, Mode::Set] {
+                        let mut c0 = vec![f64::NAN; m * ldc];
+                        if mode == Mode::Sub {
+                            for i in 0..m {
+                                c0[i * ldc..i * ldc + n].copy_from_slice(&filled(n, (i * n) as u64));
+                            }
+                        }
+                        let mut c = c0.clone();
+                        pack::gemm_abt_packed(
+                            mode, &mut c, ldc, &a, k, &b, k, m, n, k, arena.packs(),
+                        );
+                        for (t, (&got, &was)) in c.iter().zip(&c0).enumerate() {
+                            let (i, j) = (t / ldc, t % ldc);
+                            let want =
+                                if j < n { write_back(mode, was, &prod[i * rows + j]) } else { was };
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{mode:?} m={m} n={n} k={k} ({i},{j}): {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Same for the symmetric update, whose tiles meet the diagonal at every
+    /// offset a caller produces: `n ≤ 40` puts it at each multiple of `MR`
+    /// inside one block, `n > MC` and `n > NC` start row and column blocks
+    /// away from it. The strict upper triangle is part of the canary.
+    #[test]
+    fn syrk_tile_is_bit_equal_to_scalar_chains_and_keeps_its_footprint() {
+        let mut arena = KernelArena::new();
+        let shapes = (1..=40)
+            .flat_map(|n| [0, 1, 7, 8, 9, 48, KC + 5].map(|k| (n, k)))
+            .chain([(MC + 1, 9), (MC + MR + 3, KC + 5), (2 * MC + 3, 8), (NC + MR + 1, 3)]);
+        for (n, k) in shapes {
+            let a = filled(n * k, 41 + (n * k) as u64);
+            let prod = chains(&a, &a, n, k);
+            let ldc = n + 1 + n % 3;
+            for mode in [Mode::Sub, Mode::Set] {
+                let mut c0 = vec![f64::NAN; n * ldc];
+                if mode == Mode::Sub {
+                    for i in 0..n {
+                        c0[i * ldc..i * ldc + i + 1].copy_from_slice(&filled(i + 1, (i + n) as u64));
+                    }
+                }
+                let mut c = c0.clone();
+                pack::syrk_lt_packed(mode, &mut c, ldc, &a, k, n, k, arena.packs());
+                for (t, (&got, &was)) in c.iter().zip(&c0).enumerate() {
+                    let (i, j) = (t / ldc, t % ldc);
+                    let want = if j <= i { write_back(mode, was, &prod[i * n + j]) } else { was };
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{mode:?} n={n} k={k} ({i},{j}): {got} vs {want}"
+                    );
                 }
             }
         }

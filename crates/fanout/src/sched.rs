@@ -940,7 +940,7 @@ impl WorkerCtx<'_> {
     /// Stress-test scheduling jitter: occasionally yield the OS slice so
     /// seeded runs explore different thread interleavings.
     fn jitter(&mut self) {
-        if self.rng.is_some() && self.rng_next() % 4 == 0 {
+        if self.rng.is_some() && self.rng_next().is_multiple_of(4) {
             std::thread::yield_now();
         }
     }

@@ -431,8 +431,15 @@ pub(crate) fn apply_bmod(
                 }
                 let drow = &mut dest[cursor * c_dest..(cursor + 1) * c_dest];
                 let srow = &scratch[p * rb..(p + 1) * rb];
-                for (q, &gc) in b_rows.iter().enumerate() {
-                    drow[(gc - dest_start) as usize] -= srow[q];
+                if cols_fuse {
+                    // Only the rows scatter: the columns are one run.
+                    for (d, &s) in drow[cd0..cd0 + rb].iter_mut().zip(srow) {
+                        *d -= s;
+                    }
+                } else {
+                    for (q, &gc) in b_rows.iter().enumerate() {
+                        drow[(gc - dest_start) as usize] -= srow[q];
+                    }
                 }
             }
         }

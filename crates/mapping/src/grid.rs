@@ -28,7 +28,7 @@ impl ProcGrid {
     /// The most-square factorization `Pr × Pc = P` with `Pr ≤ Pc`.
     pub fn near_square(p: usize) -> Self {
         let mut pr = (p as f64).sqrt() as usize;
-        while pr > 1 && p % pr != 0 {
+        while pr > 1 && !p.is_multiple_of(pr) {
             pr -= 1;
         }
         Self { pr: pr.max(1), pc: p / pr.max(1) }
@@ -42,7 +42,7 @@ impl ProcGrid {
         let mut best: Option<(usize, usize)> = None;
         let mut d = 1usize;
         while d * d <= p {
-            if p % d == 0 {
+            if p.is_multiple_of(d) {
                 let (a, b) = (d, p / d);
                 if gcd(a, b) == 1 && (a > 1 || p <= 3) {
                     best = Some((a, b)); // increasing d → more square
