@@ -1,6 +1,7 @@
 //! Calibration utility: generates the benchmark suites, runs ordering +
 //! symbolic analysis, and prints Table-1-style statistics next to the
-//! paper's published values. Used to tune the synthetic matrix generators.
+//! paper's published values ([`bench::PAPER_MATRIX_STATS`]). Used to tune
+//! the synthetic matrix generators.
 
 use std::time::Instant;
 use symbolic::AmalgamationOpts;
@@ -11,23 +12,6 @@ fn main() {
         Some("medium") => sparsemat::gen::SuiteScale::Medium,
         _ => sparsemat::gen::SuiteScale::Tiny,
     };
-    // Paper Table 1 and Table 6 reference values: (name, n, nz_l, Mops).
-    let paper: &[(&str, usize, u64, f64)] = &[
-        ("DENSE1024", 1024, 523_776, 358.4),
-        ("DENSE2048", 2048, 2_096_128, 2_865.4),
-        ("GRID150", 22_500, 656_027, 56.5),
-        ("GRID300", 90_000, 3_266_773, 482.0),
-        ("CUBE30", 27_000, 6_233_404, 3_904.3),
-        ("CUBE35", 42_875, 12_093_814, 10_114.7),
-        ("BCSSTK15", 3_948, 647_274, 165.0),
-        ("BCSSTK29", 13_992, 1_680_804, 393.1),
-        ("BCSSTK31", 35_588, 5_272_659, 2_551.0),
-        ("BCSSTK33", 8_738, 2_538_064, 1_203.5),
-        ("DENSE4096", 4_096, 8_386_560, 22_915.0),
-        ("CUBE40", 64_000, 21_408_189, 23_084.0),
-        ("COPTER2", 55_476, 13_501_253, 11_377.0),
-        ("10FLEET", 11_222, 4_782_460, 7_450.0),
-    ];
     println!(
         "{:<10} {:>8} {:>12} {:>10} | {:>8} {:>12} {:>10} | {:>7} {:>7} {:>6}",
         "name", "n", "nzL", "Mops", "paper n", "paper nzL", "paper Mops", "t_ord", "t_sym", "#sn"
@@ -41,11 +25,7 @@ fn main() {
         let t1 = Instant::now();
         let a = symbolic::analyze(p.matrix.pattern(), &perm, &AmalgamationOpts::default());
         let t_sym = t1.elapsed().as_secs_f64();
-        let (pn, pnz, pops) = paper
-            .iter()
-            .find(|r| r.0 == p.name)
-            .map(|r| (r.1, r.2, r.3))
-            .unwrap_or((0, 0, 0.0));
+        let (pn, pnz, pops) = bench::paper_stats(&p.name).unwrap_or((0, 0, 0.0));
         println!(
             "{:<10} {:>8} {:>12} {:>10.1} | {:>8} {:>12} {:>10.1} | {:>7.2} {:>7.2} {:>6}",
             p.name,

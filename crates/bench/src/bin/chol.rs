@@ -16,11 +16,16 @@
 //!
 //! Reads a symmetric real Matrix Market file, factors it, solves, and
 //! reports the relative residual.
+//!
+//! Exit status: 0 on success, 1 on bad input (unreadable or malformed
+//! matrix or right-hand side, an indefinite matrix, an unwritable `--out`
+//! file), 2 on a usage error. A `-p` that is not a perfect square is not an
+//! error: the run falls back to the most-square processor grid.
 
 use cholesky_core::{
     BlockPolicy, MachineModel, OrderingChoice, SchedOptions, Solver, SolverError, SolverOptions,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 
 struct Opts {
     matrix: String,
@@ -42,6 +47,12 @@ fn usage() -> ! {
          [--block-policy uniform|workeq|rect] [--simulate] [--stats]"
     );
     std::process::exit(2);
+}
+
+/// Reports a bad-input error and exits with status 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
 fn parse() -> Opts {
@@ -138,14 +149,10 @@ fn print_partition_shape(solver: &Solver) {
 
 fn main() {
     let o = parse();
-    let file = std::fs::File::open(&o.matrix).unwrap_or_else(|e| {
-        eprintln!("cannot open {}: {e}", o.matrix);
-        std::process::exit(1);
-    });
-    let a = sparsemat::io::read_matrix_market(BufReader::new(file)).unwrap_or_else(|e| {
-        eprintln!("cannot parse {}: {e}", o.matrix);
-        std::process::exit(1);
-    });
+    let file = std::fs::File::open(&o.matrix)
+        .unwrap_or_else(|e| fail(format!("cannot open {}: {e}", o.matrix)));
+    let a = sparsemat::io::read_matrix_market(BufReader::new(file))
+        .unwrap_or_else(|e| fail(format!("cannot parse {}: {e}", o.matrix)));
     let n = a.n();
     eprintln!("matrix: {n} equations, {} stored entries", a.pattern().nnz());
 
@@ -194,21 +201,13 @@ fn main() {
     }
 
     let b: Vec<f64> = match &o.rhs {
-        Some(path) => {
-            let f = std::fs::File::open(path).unwrap_or_else(|e| {
-                eprintln!("cannot open rhs {path}: {e}");
-                std::process::exit(1);
-            });
-            BufReader::new(f)
-                .lines()
-                .map(|l| {
-                    l.expect("read rhs").trim().parse().unwrap_or_else(|_| {
-                        eprintln!("rhs file contains a non-numeric line");
-                        std::process::exit(1);
-                    })
-                })
-                .collect()
-        }
+        Some(path) => std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read rhs {path}: {e}")))
+            .lines()
+            .map(|l| {
+                l.trim().parse().unwrap_or_else(|_| fail("rhs file contains a non-numeric line"))
+            })
+            .collect(),
         None => {
             // Default: b = A·1, so the exact solution is all-ones.
             let ones = vec![1.0; n];
@@ -218,9 +217,15 @@ fn main() {
         }
     };
     if b.len() != n {
-        eprintln!("rhs has {} values but the matrix has {n} equations", b.len());
-        std::process::exit(1);
+        fail(format!("rhs has {} values but the matrix has {n} equations", b.len()));
     }
+    // Create the output before the factorization, so an unwritable path
+    // fails in milliseconds rather than after the whole solve.
+    let out = o.out.as_ref().map(|path| {
+        let f = std::fs::File::create(path)
+            .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
+        (path, BufWriter::new(f))
+    });
 
     let t1 = std::time::Instant::now();
     let (factor, asg) = if o.p <= 1 {
@@ -253,10 +258,7 @@ fn main() {
         let factor = solver.factor_sched(&asg, &SchedOptions::default()).map(|(f, _)| f);
         (factor, Some(asg))
     };
-    let factor = factor.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let factor = factor.unwrap_or_else(|e| fail(format!("error: {e}")));
     eprintln!(
         "factor: {:.2}s ({} virtual processor{}), residual {:.2e}",
         t1.elapsed().as_secs_f64(),
@@ -308,11 +310,10 @@ fn main() {
         );
     }
 
-    if let Some(path) = &o.out {
-        let mut f = std::fs::File::create(path).expect("create output");
-        for v in &x {
-            writeln!(f, "{v:.17e}").expect("write output");
-        }
+    if let Some((path, mut w)) = out {
+        let written: std::io::Result<()> =
+            x.iter().try_for_each(|v| writeln!(w, "{v:.17e}")).and_then(|()| w.flush());
+        written.unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         eprintln!("solution written to {path}");
     } else {
         let preview: Vec<String> = x.iter().take(5).map(|v| format!("{v:.6}")).collect();

@@ -62,8 +62,7 @@ pub fn matrix_stats(ctx: &mut Ctx, large: bool) -> TextTable {
     };
     for prob in &problems {
         let s = ctx.solver(prob).stats();
-        let (pn, pnz, pops) = paper_stats(&prob.name).unwrap_or((0, 0, 0.0));
-        let _ = pn;
+        let (_, pnz, pops) = paper_stats(&prob.name).unwrap_or((0, 0, 0.0));
         t.row(vec![
             prob.name.clone(),
             prob.n().to_string(),
@@ -651,8 +650,17 @@ mod tests {
     fn tiny_scale_tables_have_expected_shapes() {
         let mut ctx = Ctx::new(SuiteScale::Tiny);
         assert_eq!(matrix_stats(&mut ctx, false).len(), 10);
+        assert_eq!(figure1(&mut ctx).len(), 10);
         assert_eq!(table2(&mut ctx).len(), 10);
         assert_eq!(table3(&mut ctx).len(), 5);
+        assert_eq!(alt_heuristic(&ctx).len(), 10);
+        // Table 6 lists the large suite alone; Table 7 adds BCSSTK31 from
+        // the base suite, and CUBE35 only at full scale (below it the cube's
+        // name carries its scaled dimension).
+        assert_eq!(matrix_stats(&mut ctx, true).len(), 4);
+        assert_eq!(table7(&mut ctx).len(), 5);
+        // The subtree ablation skips the two dense problems.
+        assert_eq!(ablation_subtree(&ctx).len(), 8);
     }
 
     #[test]

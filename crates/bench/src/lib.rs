@@ -1,11 +1,18 @@
-//! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation (see `DESIGN.md` for the experiment index).
+//! The paper-reproduction harness: regenerates every table and figure of
+//! the paper's evaluation (see `DESIGN.md` for the experiment index). Three
+//! binaries:
 //!
-//! The binary `repro` drives the [`experiments`] module:
+//! * `repro` drives the [`experiments`] module (EXPERIMENTS.md);
+//! * `chol` is the command-line solver for Matrix Market files;
+//! * `calibrate` prints the generated suites' statistics next to the
+//!   paper's, to tune the synthetic matrix generators.
 //!
 //! ```text
 //! cargo run --release -p bench --bin repro -- all --scale full
 //! ```
+//!
+//! Performance is measured by the benchmark of record (`crates/benchmark`),
+//! not here.
 
 pub mod experiments;
 pub mod table;
@@ -13,89 +20,6 @@ pub mod table;
 use cholesky_core::{Solver, SolverOptions};
 use sparsemat::gen::SuiteScale;
 use std::collections::HashMap;
-
-/// Thread environment of a benchmark run: workers requested via
-/// `SCHED_WORKERS` against the cores the host actually has, plus the
-/// self-gates the run decided to skip. Every `BENCH_*` JSON writer embeds
-/// this (via [`WorkerEnv::json_fields`]) so downstream analysis can discard
-/// oversubscribed runs — whose wall-clock numbers measure scheduler
-/// contention rather than the code under test — and can tell a gate that
-/// *passed* apart from one that never ran (e.g. speedup gates on hosts with
-/// too few cores), instead of that fact living only in a stderr note.
-#[derive(Debug, Clone)]
-pub struct WorkerEnv {
-    /// Workers requested through the `SCHED_WORKERS` environment variable
-    /// (0 when unset — executors then size themselves to the machine).
-    pub requested: usize,
-    /// Cores available to this process.
-    pub cores: usize,
-    /// Names of self-gates this run skipped (see [`Self::skip_gate`]).
-    skipped: Vec<String>,
-}
-
-impl WorkerEnv {
-    /// Reads the environment. Call once per benchmark binary.
-    pub fn probe() -> Self {
-        Self {
-            requested: fanout::env_workers().unwrap_or(0),
-            cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            skipped: Vec::new(),
-        }
-    }
-
-    /// Records that a named self-gate did not run this time (host too
-    /// small, `--quick` scale, …). The name lands in the
-    /// `"skipped_gates"` JSON array of every row this environment stamps;
-    /// callers should still print a human-readable stderr note with the
-    /// reason. Recording the same gate twice keeps one entry.
-    pub fn skip_gate(&mut self, name: &str) {
-        if !self.skipped.iter().any(|s| s == name) {
-            self.skipped.push(name.to_string());
-        }
-    }
-
-    /// The gates skipped so far, in recording order.
-    pub fn skipped_gates(&self) -> &[String] {
-        &self.skipped
-    }
-
-    /// True when more workers were requested than cores exist.
-    pub fn oversubscribed(&self) -> bool {
-        self.requested > self.cores
-    }
-
-    /// [`Self::probe`] plus a stderr warning when the run is
-    /// oversubscribed, naming the benchmark so the warning survives in
-    /// captured logs.
-    pub fn probe_and_warn(bench: &str) -> Self {
-        let env = Self::probe();
-        if env.oversubscribed() {
-            eprintln!(
-                "warning: {bench}: SCHED_WORKERS={} exceeds {} available core(s); \
-                 timings will measure oversubscription, not kernel speed",
-                env.requested, env.cores
-            );
-        }
-        env
-    }
-
-    /// The shared JSON fields of every `BENCH_*` row:
-    /// `"requested_workers":…,"available_cores":…,"oversubscribed":…,`
-    /// `"skipped_gates":[…]` (no trailing comma). The array is empty when
-    /// every self-gate ran.
-    pub fn json_fields(&self) -> String {
-        let skipped: Vec<String> =
-            self.skipped.iter().map(|s| table::json_str(s)).collect();
-        format!(
-            "\"requested_workers\":{},\"available_cores\":{},\"oversubscribed\":{},\
-             \"skipped_gates\":[{}]",
-            self.requested,
-            self.cores,
-            self.oversubscribed(),
-            skipped.join(",")
-        )
-    }
-}
 
 /// Paper reference values used for side-by-side reporting:
 /// `(name, equations, nz_l, ops_millions)` from Tables 1 and 6.

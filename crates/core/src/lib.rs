@@ -189,9 +189,8 @@ pub enum OrderingChoice {
 pub struct AnalyzeOpts {
     /// Supernode amalgamation rules.
     pub amalg: AmalgamationOpts,
-    /// Threads for block-structure construction and assembly; `None` = the
-    /// `SCHED_WORKERS` environment variable if set (see
-    /// [`fanout::env_workers`]), otherwise available parallelism.
+    /// Threads for block-structure construction and assembly; `None` =
+    /// available parallelism.
     pub workers: Option<usize>,
 }
 
@@ -199,10 +198,7 @@ impl AnalyzeOpts {
     /// The concrete thread count this configuration resolves to.
     pub fn resolved_workers(&self) -> usize {
         self.workers
-            .or_else(fanout::env_workers)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
             .max(1)
     }
 }
@@ -922,6 +918,23 @@ mod tests {
         assert!(rep.utilization > 0.0 && rep.utilization <= 1.0 + 1e-9);
         assert!(rep.to_string().contains("predicted balance"));
 
+        // The run's trace exports to Perfetto: valid JSON, one named track
+        // per worker, every event, every timestamp inside the span — and,
+        // with the report's phases, one more track for the pipeline.
+        let tr = stats.trace.as_ref().unwrap();
+        let json = tr.to_perfetto_json("grid2d(10)");
+        assert_eq!(trace::validate_json(&json), Ok(()));
+        assert_eq!(json.matches("\"thread_name\"").count(), tr.workers());
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), tr.num_events());
+        let span_us = tr.span_s() * 1e6;
+        for chunk in json.split("\"ts\":").skip(1) {
+            let ts: f64 = chunk[..chunk.find(',').unwrap()].parse().unwrap();
+            assert!((0.0..=span_us + 1e-6).contains(&ts), "ts {ts} outside [0, {span_us}]");
+        }
+        let json = tr.to_perfetto_json_with_phases("grid2d(10)", &rep.pipeline);
+        assert_eq!(trace::validate_json(&json), Ok(()));
+        assert_eq!(json.matches("\"thread_name\"").count(), tr.workers() + 1);
+
         let (out, sim_rep) = solver.simulate_report(
             &asg,
             &MachineModel::paragon(),
@@ -974,6 +987,20 @@ mod tests {
         for (g, w) in x_session.iter().zip(&x_one_shot) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
+
+        // A traced scheduled session gives the same bits, and its Perfetto
+        // export carries the session's refactor/resolve phases.
+        let asg = solver.assign_heuristic(4);
+        let traced_opts = SchedOptions { trace: TraceOpts::on(), ..Default::default() };
+        let mut traced = solver.session_sched(&asg, &traced_opts);
+        traced.refactor(p.matrix.values()).unwrap();
+        let (_, _, got) = traced.factor().to_csc();
+        assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+        let _ = traced.resolve(&b);
+        let tr = traced.sched_stats.as_ref().and_then(|s| s.trace.as_ref()).unwrap();
+        let json = tr.to_perfetto_json_with_phases("session", &traced.timings.spans());
+        assert_eq!(trace::validate_json(&json), Ok(()));
+        assert!(json.contains("\"refactor\"") && json.contains("\"resolve\""));
     }
 
     #[test]
@@ -1026,7 +1053,7 @@ mod tests {
         let par_solver = Solver::analyze_problem(&p, &par);
         assert_eq!(seq_solver.plan.analysis, par_solver.plan.analysis);
         assert!(seq_solver.plan.analyze_spans.is_empty());
-        assert!(!par_solver.plan.analyze_spans.is_empty());
+        assert!(par_solver.plan.analyze_spans.len() > 1, "analysis did not fan out");
         assert!(par_solver
             .plan
             .analyze_spans
@@ -1125,6 +1152,15 @@ mod tests {
         let asg = solver.assign_default(4);
         let (f, _) = solver.factor_sched(&asg, &SchedOptions::default()).unwrap();
         assert!(solver.residual(&f) < 1e-10);
+        // The balance guard: with the row map fixed, proportional columns
+        // never lose to that heuristic's own column map on the
+        // separator-tree plan.
+        for h in &Heuristic::ALL[1..] {
+            let row = RowPolicy::Heuristic(*h);
+            let prop = solver.balance(&solver.assign(16, row, ColPolicy::Proportional)).overall;
+            let heur = solver.balance(&solver.assign(16, row, ColPolicy::Heuristic(*h))).overall;
+            assert!(prop >= heur - 1e-12, "{h:?} rows: PM columns {prop} vs {heur}");
+        }
         // Default options reproduce the paper's Table 7 recommendation.
         let d = Solver::analyze_problem(&p, &opts(4));
         let a1 = d.assign_default(4);

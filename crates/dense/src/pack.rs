@@ -174,8 +174,6 @@ pub fn unpack_rows(dst: &mut [f64], ld: usize, src: &[f64], rows: usize, kc: usi
 /// `MR × PANELS·NR` piece with. Implemented twice — [`Portable`] and, where
 /// the target has it, [`avx512::Tile16`] — and selected as [`Native`].
 trait Tile {
-    /// Shape and instruction set, for benchmark records.
-    const NAME: &'static str;
     /// Adjacent `B` micro-panels one tile spans.
     const PANELS: usize;
 
@@ -203,10 +201,6 @@ trait Tile {
 type Native = avx512::Tile16;
 #[cfg(not(target_feature = "avx512f"))]
 type Native = Portable;
-
-/// Which register tile this build of the crate runs: `"8x16 avx512f"` or
-/// `"8x8 portable"`.
-pub const TILE: &str = Native::NAME;
 
 /// Columns of tile row `r` that lie on or below the diagonal, at most `w`.
 #[inline(always)]
@@ -308,7 +302,6 @@ struct Portable;
 
 #[cfg(any(test, not(target_feature = "avx512f")))]
 impl Tile for Portable {
-    const NAME: &'static str = "8x8 portable";
     const PANELS: usize = 1;
 
     #[inline(always)]
@@ -352,7 +345,6 @@ mod avx512 {
     pub(super) struct Tile16;
 
     impl Tile for Tile16 {
-        const NAME: &'static str = "8x16 avx512f";
         const PANELS: usize = 2;
 
         #[inline(always)]

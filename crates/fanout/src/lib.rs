@@ -58,7 +58,7 @@ pub use faults::{Fault, FaultPlan};
 pub use plan::Plan;
 pub use psolve::{solve_threaded, solve_threaded_many, solve_threaded_many_with, SolvePlan};
 pub use reuse::{AssemblyTemplate, CscTemplate};
-pub use sched::{env_workers, factorize_sched, factorize_sched_opts, SchedOptions, SchedStats};
+pub use sched::{factorize_sched, factorize_sched_opts, SchedOptions, SchedStats};
 pub use seq::{factorize_seq, factorize_seq_opts, SeqStats};
 pub use simplicial::{factorize_simplicial, factorize_simplicial_from, CscFactor};
 pub use sim::{block_ranks, simulate, simulate_traced, simulate_with_policy, SimOutcome, SimPolicy};

@@ -67,25 +67,13 @@ use trace::{TaskKind, Trace, TraceBuf, TraceOpts, WorkerRing, NO_BLOCK};
 /// stalled run had tracing enabled).
 const STALL_TAIL_EVENTS: usize = 8;
 
-/// Worker-count override from the `SCHED_WORKERS` environment variable,
-/// when set and parseable as a positive integer. Checked by every place
-/// that resolves a defaulted worker count (scheduler, parallel assembly,
-/// benches), so one env knob pins the whole pipeline's thread count — the
-/// override is *not* capped at available parallelism, letting benches
-/// exercise multi-worker paths deterministically on any box.
-pub fn env_workers() -> Option<usize> {
-    std::env::var("SCHED_WORKERS").ok()?.parse().ok().filter(|&w| w > 0)
-}
-
 /// Run control of the numeric drivers: every field steers
 /// [`factorize_sched_opts`]; the inline driver
 /// ([`crate::factorize_seq_opts`]) reads `perturb_npd`, `deadline`, `cancel`
 /// and `trace` and ignores the rest.
 #[derive(Debug, Clone)]
 pub struct SchedOptions {
-    /// Worker thread count; `None` = the `SCHED_WORKERS` environment
-    /// variable if set (see [`env_workers`]), otherwise
-    /// `min(plan.p, available_parallelism)`.
+    /// Worker thread count; `None` = `min(plan.p, available_parallelism)`.
     pub workers: Option<usize>,
     /// Pop critical-path-urgent tasks first (`false` = plain LIFO order).
     pub use_priorities: bool,
@@ -228,7 +216,6 @@ pub fn factorize_sched_opts(
     let schedule = Schedule::build(&bm, plan, opts.use_priorities);
     let workers = opts
         .workers
-        .or_else(env_workers)
         .unwrap_or_else(|| {
             plan.p.min(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
         })
