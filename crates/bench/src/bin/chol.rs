@@ -23,7 +23,8 @@
 //! error: the run falls back to the most-square processor grid.
 
 use cholesky_core::{
-    BlockPolicy, MachineModel, OrderingChoice, SchedOptions, Solver, SolverError, SolverOptions,
+    Assignment, BlockPolicy, ColPolicy, Heuristic, MachineModel, OrderingChoice, ProcGrid,
+    RowPolicy, SchedOptions, Solver, SolverError, SolverOptions,
 };
 use std::io::{BufReader, BufWriter, Write};
 
@@ -33,7 +34,7 @@ struct Opts {
     out: Option<String>,
     p: usize,
     block_size: usize,
-    mapping: String,
+    mapping: (RowPolicy, ColPolicy),
     ordering: OrderingChoice,
     block_policy: BlockPolicy,
     simulate: bool,
@@ -62,7 +63,10 @@ fn parse() -> Opts {
         out: None,
         p: 1,
         block_size: 48,
-        mapping: "heuristic".into(),
+        mapping: (
+            RowPolicy::Heuristic(Heuristic::IncreasingDepth),
+            ColPolicy::Heuristic(Heuristic::Cyclic),
+        ),
         ordering: OrderingChoice::Auto,
         block_policy: BlockPolicy::Uniform,
         simulate: false,
@@ -78,10 +82,20 @@ fn parse() -> Opts {
                 o.block_size = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
             "--mapping" => {
-                o.mapping = args.next().unwrap_or_else(|| usage());
-                if !matches!(o.mapping.as_str(), "cyclic" | "heuristic") {
-                    eprintln!("unknown mapping {}", o.mapping);
-                    usage();
+                o.mapping = match args.next().as_deref() {
+                    Some("cyclic") => (
+                        RowPolicy::Heuristic(Heuristic::Cyclic),
+                        ColPolicy::Heuristic(Heuristic::Cyclic),
+                    ),
+                    Some("heuristic") => (
+                        RowPolicy::Heuristic(Heuristic::IncreasingDepth),
+                        ColPolicy::Heuristic(Heuristic::Cyclic),
+                    ),
+                    Some(other) => {
+                        eprintln!("unknown mapping {other}");
+                        usage()
+                    }
+                    None => usage(),
                 }
             }
             "--ordering" => {
@@ -112,6 +126,19 @@ fn parse() -> Opts {
         usage();
     }
     o
+}
+
+/// The `--mapping` assignment on `p` virtual processors: a square grid, or
+/// the most-square grid when `p` is not a perfect square.
+fn assignment(solver: &Solver, p: usize, (row, col): (RowPolicy, ColPolicy)) -> Assignment {
+    let s = (p as f64).sqrt().round() as usize;
+    let grid = if s * s == p {
+        ProcGrid::square(p)
+    } else {
+        eprintln!("note: P = {p} is not a perfect square; using a near-square grid");
+        ProcGrid::near_square(p)
+    };
+    solver.assign_on_grid(grid, row, col)
 }
 
 /// The realized panel-width histogram and the padded per-panel work
@@ -231,30 +258,7 @@ fn main() {
     let (factor, asg) = if o.p <= 1 {
         (solver.factor_seq().map_err(SolverError::from), None)
     } else {
-        // Accept any processor count: fall back to the most-square grid
-        // when P is not a perfect square.
-        let s = (o.p as f64).sqrt().round() as usize;
-        let grid = if s * s == o.p {
-            cholesky_core::ProcGrid::square(o.p)
-        } else {
-            eprintln!("note: P = {} is not a perfect square; using a near-square grid", o.p);
-            cholesky_core::ProcGrid::near_square(o.p)
-        };
-        let (row, col) = match o.mapping.as_str() {
-            "cyclic" => (
-                cholesky_core::RowPolicy::Heuristic(cholesky_core::Heuristic::Cyclic),
-                cholesky_core::ColPolicy::Heuristic(cholesky_core::Heuristic::Cyclic),
-            ),
-            "heuristic" => (
-                cholesky_core::RowPolicy::Heuristic(cholesky_core::Heuristic::IncreasingDepth),
-                cholesky_core::ColPolicy::Heuristic(cholesky_core::Heuristic::Cyclic),
-            ),
-            other => {
-                eprintln!("unknown mapping {other}");
-                std::process::exit(2);
-            }
-        };
-        let asg = solver.assign_on_grid(grid, row, col);
+        let asg = assignment(&solver, o.p, o.mapping);
         let factor = solver.factor_sched(&asg, &SchedOptions::default()).map(|(f, _)| f);
         (factor, Some(asg))
     };
@@ -267,10 +271,9 @@ fn main() {
         solver.residual(&factor)
     );
 
-    let x = match &asg {
-        Some(asg) => solver.solve_parallel(&factor, asg, &b),
-        None => solver.solve(&factor, &b),
-    };
+    // The factor is bit-identical across drivers, so the solution's bits do
+    // not depend on `-p`.
+    let x = solver.solve(&factor, &b);
 
     // Solution quality: ‖A·x − b‖∞ / ‖b‖∞.
     let mut ax = vec![0.0; n];
@@ -300,7 +303,7 @@ fn main() {
         );
     }
     if o.simulate {
-        let asg = asg.unwrap_or_else(|| solver.assign_heuristic(o.p.max(2)));
+        let asg = asg.unwrap_or_else(|| assignment(&solver, o.p, o.mapping));
         let out = solver.simulate(&asg, &MachineModel::paragon());
         eprintln!(
             "simulated Paragon: {:.3}s makespan, efficiency {:.2}, {:.0} Mflops",

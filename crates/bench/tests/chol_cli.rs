@@ -1,6 +1,6 @@
-//! The `chol` command line on bad input: every probe exits with its
-//! documented status — 1 for bad input, 0 for the non-square `-p` fallback —
-//! and none panics.
+//! The `chol` command line: every probe exits with its documented status —
+//! 1 for bad input, 0 for the non-square `-p` fallback, for `--simulate`
+//! without `-p` and for any processor count — and none panics.
 
 use sparsemat::{gen, io, SymCscMatrix};
 use std::path::PathBuf;
@@ -74,6 +74,37 @@ fn non_square_processor_count_falls_back_to_a_near_square_grid() {
     // The default right-hand side is A·1, so every solution entry is ≈ 1.
     let x: Vec<f64> =
         std::fs::read_to_string(&out).unwrap().lines().map(|l| l.parse().unwrap()).collect();
+    assert_eq!(x.len(), a.n());
+    assert!(x.iter().all(|v| (v - 1.0).abs() < 1e-10), "{x:?}");
+}
+
+#[test]
+fn simulate_without_a_processor_count_reports_a_simulated_run() {
+    let input = mtx("simulate.mtx", &gen::grid2d(6).matrix);
+    let (code, stderr) = chol(&[&input, "--simulate"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("simulated Paragon"), "{stderr}");
+}
+
+#[test]
+fn solution_bits_do_not_depend_on_the_processor_count() {
+    let a = gen::grid2d(6).matrix;
+    let input = mtx("bits.mtx", &a);
+    let solutions: Vec<(&str, String)> = ["1", "4", "6", "40000"]
+        .into_iter()
+        .map(|p| {
+            let out = path(&format!("bits_p{p}.out"));
+            let (code, stderr) = chol(&[&input, "-p", p, "--out", &out]);
+            assert_eq!(code, 0, "-p {p}: {stderr}");
+            (p, std::fs::read_to_string(&out).unwrap())
+        })
+        .collect();
+    let (_, reference) = &solutions[0];
+    for (p, text) in &solutions[1..] {
+        assert_eq!(text, reference, "-p {p} solution differs from -p 1");
+    }
+    // The default right-hand side is A·1, so every solution entry is ≈ 1.
+    let x: Vec<f64> = reference.lines().map(|l| l.parse().unwrap()).collect();
     assert_eq!(x.len(), a.n());
     assert!(x.iter().all(|v| (v - 1.0).abs() < 1e-10), "{x:?}");
 }

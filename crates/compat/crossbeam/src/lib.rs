@@ -1,81 +1,5 @@
-//! Offline shim for the slice of `crossbeam` this workspace uses: unbounded
-//! MPSC channels (backed by `std::sync::mpsc`, which covers the executors'
-//! pattern exactly — every receiver is owned by a single worker thread) and
-//! a Chase–Lev work-stealing deque for the shared-memory task scheduler.
-
-pub mod channel {
-    use std::sync::mpsc;
-
-    pub use std::sync::mpsc::{RecvError, SendError, TryRecvError};
-
-    /// Sending half of an unbounded channel (cloneable).
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-    }
-
-    /// Receiving half of an unbounded channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn fan_in_from_clones() {
-            let (tx, rx) = unbounded::<u32>();
-            let handles: Vec<_> = (0..4u32)
-                .map(|i| {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || tx.send(i).unwrap())
-                })
-                .collect();
-            drop(tx);
-            for h in handles {
-                h.join().unwrap();
-            }
-            let mut got: Vec<u32> = rx.iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 1, 2, 3]);
-        }
-
-        #[test]
-        fn recv_errors_when_senders_dropped() {
-            let (tx, rx) = unbounded::<u8>();
-            drop(tx);
-            assert!(rx.recv().is_err());
-        }
-    }
-}
+//! Offline shim for the slice of `crossbeam` this workspace uses: a
+//! Chase–Lev work-stealing deque for the shared-memory task scheduler.
 
 pub mod deque {
     //! A fixed-capacity Chase–Lev work-stealing deque over `u64` payloads
@@ -294,6 +218,106 @@ pub mod deque {
             });
             assert_eq!(taken.load(Ordering::Relaxed), n);
             assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2);
+        }
+
+        /// SplitMix64: a seeded, dependency-free operation stream.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Model check, one thread: seeded push/pop/steal sequences on a
+        /// small deque (so indices wrap the ring many times) match a
+        /// `VecDeque` step for step — pop is `pop_back`, steal `pop_front`.
+        #[test]
+        fn seeded_sequences_match_a_vecdeque_model() {
+            const CAP: usize = 8;
+            for seed in 0..256u64 {
+                let mut rng = seed;
+                let mut w = Worker::with_capacity(CAP);
+                let s = w.stealer();
+                let mut model = std::collections::VecDeque::new();
+                let mut pushed = 0u64;
+                for step in 0..400 {
+                    match next(&mut rng) % 3 {
+                        0 if model.len() < CAP => {
+                            w.push(pushed);
+                            model.push_back(pushed);
+                            pushed += 1;
+                        }
+                        0 | 1 => assert_eq!(w.pop(), model.pop_back(), "seed {seed} step {step}"),
+                        _ => {
+                            let want = model.pop_front().map_or(Steal::Empty, Steal::Success);
+                            assert_eq!(s.steal(), want, "seed {seed} step {step}");
+                        }
+                    }
+                    assert_eq!(w.len(), model.len(), "seed {seed} step {step}");
+                }
+            }
+        }
+
+        /// Model check, two threads: the owner runs a seeded push/pop
+        /// stream on a small deque while one thief steals. Every pushed
+        /// value is taken exactly once (counting the owner's final drain),
+        /// and the thief's successful steals come in increasing push order.
+        #[test]
+        fn owner_and_thief_take_every_value_once_in_order() {
+            use std::sync::atomic::AtomicBool;
+            use std::sync::Barrier;
+            const CAP: usize = 8;
+            for seed in 0..256u64 {
+                let mut rng = seed ^ 0xD1B5_4A32_D192_ED03;
+                let mut w = Worker::with_capacity(CAP);
+                let s = w.stealer();
+                let done = AtomicBool::new(false);
+                // Both threads start together, so the owner's stream runs
+                // under contention instead of before the thief is scheduled.
+                let start = Barrier::new(2);
+                let mut pushed = 0u64;
+                let mut popped = Vec::new();
+                let stolen = std::thread::scope(|scope| {
+                    let thief = scope.spawn(|| {
+                        let mut got = Vec::new();
+                        start.wait();
+                        loop {
+                            match s.steal() {
+                                Steal::Success(v) => got.push(v),
+                                Steal::Retry => {}
+                                Steal::Empty if done.load(Ordering::Acquire) => return got,
+                                Steal::Empty => std::hint::spin_loop(),
+                            }
+                        }
+                    });
+                    start.wait();
+                    for _ in 0..2_000 {
+                        // `len` over-reports while the thief advances `top`,
+                        // so this bound keeps every push within capacity.
+                        if next(&mut rng) % 5 < 3 && w.len() < CAP {
+                            w.push(pushed);
+                            pushed += 1;
+                        } else if let Some(v) = w.pop() {
+                            popped.push(v);
+                        }
+                    }
+                    while let Some(v) = w.pop() {
+                        popped.push(v);
+                    }
+                    done.store(true, Ordering::Release);
+                    thief.join().unwrap()
+                });
+                assert!(stolen.windows(2).all(|p| p[0] < p[1]), "seed {seed}: {stolen:?}");
+                let mut taken: Vec<u64> = popped.iter().chain(&stolen).copied().collect();
+                taken.sort_unstable();
+                assert!(
+                    taken.iter().copied().eq(0..pushed),
+                    "seed {seed}: a value lost or taken twice"
+                );
+                assert_eq!(w.pop(), None);
+                assert_eq!(s.steal(), Steal::Empty);
+            }
         }
     }
 }

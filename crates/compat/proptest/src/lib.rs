@@ -331,7 +331,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec`](fn@vec): an exact size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -79,7 +79,7 @@ pub use fanout::{
 pub use mapping::{
     Assignment, ColPolicy, DomainParams, DomainPlan, Heuristic, ProcGrid, RowPolicy,
 };
-pub use plan::{ExecTemplates, NumericTemplates, SymbolicPlan};
+pub use plan::{NumericTemplates, SymbolicPlan};
 pub use resilience::{ResilienceStats, ResourceBudget, ResourceEstimate, RetryPolicy};
 pub use session::{FactorSession, SolveWorkspace};
 pub use simgrid::MachineModel;
@@ -650,9 +650,9 @@ impl Solver {
         asg: &Assignment,
         opts: &SchedOptions,
     ) -> Result<(NumericFactor, SchedStats), SolverError> {
-        let t = self.plan.exec_templates(asg);
+        let plan = self.plan.exec_templates(asg);
         let mut f = self.assemble();
-        let stats = fanout::factorize_sched_opts(&mut f, &t.plan, opts)?;
+        let stats = fanout::factorize_sched_opts(&mut f, &plan, opts)?;
         Ok((f, stats))
     }
 
@@ -670,12 +670,12 @@ impl Solver {
         if !opts.trace.enabled {
             opts.trace = TraceOpts::on();
         }
-        let t = self.plan.exec_templates(asg);
+        let plan = self.plan.exec_templates(asg);
         let t0 = std::time::Instant::now();
         let mut f = self.assemble();
         let assemble_s = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let stats = fanout::factorize_sched_opts(&mut f, &t.plan, &opts)?;
+        let stats = fanout::factorize_sched_opts(&mut f, &plan, &opts)?;
         let factor_s = t1.elapsed().as_secs_f64();
         let trace = stats.trace.as_ref().expect("tracing was forced on");
         let name = format!("sched p={} workers={}", stats.p, stats.workers);
@@ -699,10 +699,10 @@ impl Solver {
         model: &MachineModel,
         policy: SimPolicy,
     ) -> (SimOutcome, RunReport) {
-        let t = self.plan.exec_templates(asg);
-        let out = fanout::simulate_traced(&self.bm, &t.plan, model, policy, &TraceOpts::on());
+        let plan = self.plan.exec_templates(asg);
+        let out = fanout::simulate_traced(&self.bm, &plan, model, policy, &TraceOpts::on());
         let trace = out.trace.as_ref().expect("tracing was forced on");
-        let name = format!("paragon-sim p={}", t.plan.p);
+        let name = format!("paragon-sim p={}", plan.p);
         let report = RunReport::new(name, trace, Some(&self.balance(asg)));
         (out, report)
     }
@@ -791,24 +791,6 @@ impl Solver {
             .fold(0.0f64, |m, (&ax, &bv)| m.max((bv - ax).abs()))
             / bnorm;
         (x, fin)
-    }
-
-    /// Distributed triangular solve: both substitution phases run on the
-    /// assignment's virtual processors without gathering the factor. The
-    /// task and solve plans come from the plan's per-assignment cache.
-    pub fn solve_parallel(
-        &self,
-        factor: &NumericFactor,
-        asg: &Assignment,
-        b: &[f64],
-    ) -> Vec<f64> {
-        assert_eq!(b.len(), self.n());
-        let t = self.plan.exec_templates(asg);
-        let pb = self.analysis.perm.apply_to_vec(b);
-        let px = fanout::solve_threaded_many_with(factor, &t.plan, &t.solve, &[&pb])
-            .pop()
-            .expect("one lane in, one lane out");
-        self.analysis.perm.apply_inverse_to_vec(&px)
     }
 
     /// Relative residual of a factor against the (permuted) input.
@@ -1011,7 +993,7 @@ mod tests {
         let s2 = solver.session();
         assert!(Arc::ptr_eq(s1.plan(), s2.plan()));
         assert!(Arc::ptr_eq(s1.plan(), &solver.plan));
-        // Exec templates are built once per assignment signature.
+        // Task DAGs are built once per assignment signature.
         let asg = solver.assign_cyclic(4);
         let t1 = solver.plan.exec_templates(&asg);
         let t2 = solver.plan.exec_templates(&asg);
@@ -1189,6 +1171,6 @@ mod tests {
         // Evicted entries rebuild on demand; held Arcs stay valid and the
         // rebuild is structurally identical.
         let rebuilt = solver.plan.exec_templates(&asgs[0]);
-        assert_eq!(rebuilt.plan.owner, handles[0].plan.owner);
+        assert_eq!(rebuilt.owner, handles[0].owner);
     }
 }

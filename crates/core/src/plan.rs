@@ -7,17 +7,16 @@
 //! factor/solve sessions ([`crate::FactorSession`]) can share it. The plan
 //! also lazily caches the *positional* templates that repeated numeric work
 //! needs — the input-entry scatter map, the factor CSC gather map, and the
-//! per-assignment execution structures (task DAG + distributed-solve plan) —
-//! so a session's `refactor`/`resolve` hot path does no structure walks at
-//! all. Lazy construction keeps one-shot `Solver` users from paying for any
-//! of it.
+//! per-assignment factorization task DAG — so a session's
+//! `refactor`/`resolve` hot path does no structure walks at all. Lazy
+//! construction keeps one-shot `Solver` users from paying for any of it.
 
 use crate::cache::Lru;
 use crate::resilience::ResourceEstimate;
 use crate::{OrderingChoice, PhaseSpan, PhaseTimings, SolverError, SolverOptions};
 use balance::{BalanceReport, CommStats};
 use blockmat::{BlockMatrix, BlockWork};
-use fanout::{AssemblyTemplate, CriticalPath, CscTemplate, SolvePlan};
+use fanout::{AssemblyTemplate, CriticalPath, CscTemplate};
 use mapping::{
     Assignment, ColPolicy, DomainPlan, Heuristic, ProcGrid, RowPolicy,
 };
@@ -35,21 +34,10 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Bound on cached per-assignment execution structures (task DAG + solve
-/// plan) per plan. Each entry holds the full block DAG; a caller sweeping
-/// many grids/policies on one plan must not accumulate them all.
+/// Bound on cached per-assignment task DAGs per plan. Each entry holds the
+/// full block DAG; a caller sweeping many grids/policies on one plan must
+/// not accumulate them all.
 pub const DEFAULT_EXEC_CAPACITY: usize = 16;
-
-/// Execution structures derived from one [`Assignment`]: the factorization
-/// task DAG and the distributed-solve structure. Cached per assignment
-/// signature on the plan (see [`SymbolicPlan::exec_templates`]).
-#[derive(Debug)]
-pub struct ExecTemplates {
-    /// The factorization plan (ownership, sends, receive counts, priorities).
-    pub plan: Arc<fanout::Plan>,
-    /// The distributed triangular-solve structure.
-    pub solve: Arc<SolvePlan>,
-}
 
 /// Numeric reuse templates for one input structure: where every input entry
 /// lands in block storage, and where every factor entry lives for the CSC
@@ -99,9 +87,9 @@ pub struct SymbolicPlan {
     pub analyze_spans: Vec<PhaseSpan>,
     /// Lazily built numeric reuse templates (input scatter + CSC gather).
     numeric: OnceLock<Arc<NumericTemplates>>,
-    /// Lazily built per-assignment execution structures, keyed by
+    /// Lazily built per-assignment task DAGs, keyed by
     /// [`Assignment::signature`], LRU-bounded at [`DEFAULT_EXEC_CAPACITY`].
-    exec: Mutex<Lru<Arc<ExecTemplates>>>,
+    exec: Mutex<Lru<Arc<fanout::Plan>>>,
 }
 
 impl SymbolicPlan {
@@ -223,8 +211,7 @@ impl SymbolicPlan {
 
     /// Simulated factorization on the modeled machine (no numerics).
     pub fn simulate(&self, asg: &Assignment, model: &MachineModel) -> fanout::SimOutcome {
-        let plan = self.exec_templates(asg).plan.clone();
-        fanout::simulate(&self.bm, &plan, model)
+        fanout::simulate(&self.bm, &self.exec_templates(asg), model)
     }
 
     /// Simulated factorization under an explicit scheduling policy
@@ -235,8 +222,7 @@ impl SymbolicPlan {
         model: &MachineModel,
         policy: fanout::SimPolicy,
     ) -> fanout::SimOutcome {
-        let plan = self.exec_templates(asg).plan.clone();
-        fanout::simulate_with_policy(&self.bm, &plan, model, policy)
+        fanout::simulate_with_policy(&self.bm, &self.exec_templates(asg), model, policy)
     }
 
     /// Critical path of the block-operation DAG under a machine model: an
@@ -245,33 +231,30 @@ impl SymbolicPlan {
         fanout::critical_path(&self.bm, model)
     }
 
-    /// The execution structures (factorization task DAG + distributed-solve
-    /// plan) for an assignment, built once per distinct
+    /// The factorization task DAG for an assignment, built once per distinct
     /// [`Assignment::signature`] and shared thereafter. Repeated
-    /// factorizations and parallel solves under the same assignment skip
-    /// `Plan::build`/`SolvePlan::build` entirely.
-    pub fn exec_templates(&self, asg: &Assignment) -> Arc<ExecTemplates> {
+    /// factorizations and simulations under the same assignment skip
+    /// `Plan::build` entirely.
+    pub fn exec_templates(&self, asg: &Assignment) -> Arc<fanout::Plan> {
         let key = asg.signature();
         let mut map = lock_ignore_poison(&self.exec);
-        if let Some(t) = map.get(key) {
-            return t.clone();
+        if let Some(plan) = map.get(key) {
+            return plan.clone();
         }
         let plan = Arc::new(fanout::Plan::build(&self.bm, asg));
-        let solve = Arc::new(SolvePlan::build(&plan, &self.bm));
-        let t = Arc::new(ExecTemplates { plan, solve });
-        map.insert(key, t.clone());
-        t
+        map.insert(key, plan.clone());
+        plan
     }
 
-    /// Number of distinct assignments with cached execution structures.
+    /// Number of distinct assignments with a cached task DAG.
     pub fn cached_exec_templates(&self) -> usize {
         lock_ignore_poison(&self.exec).len()
     }
 
-    /// Execution structures dropped by the LRU bound
-    /// ([`DEFAULT_EXEC_CAPACITY`]) since this plan was built. Sessions
-    /// holding an `Arc<ExecTemplates>` keep theirs alive; eviction only
-    /// means the next request for that assignment rebuilds.
+    /// Task DAGs dropped by the LRU bound ([`DEFAULT_EXEC_CAPACITY`]) since
+    /// this plan was built. Sessions holding an `Arc<fanout::Plan>` keep
+    /// theirs alive; eviction only means the next request for that
+    /// assignment rebuilds.
     pub fn exec_evictions(&self) -> u64 {
         lock_ignore_poison(&self.exec).evictions()
     }

@@ -17,7 +17,7 @@
 //! [`Solver::solve`](crate::Solver::solve)'s bits (the multi-RHS kernel
 //! keeps each lane's operation sequence identical to the single-RHS one).
 
-use crate::plan::{ExecTemplates, NumericTemplates, SymbolicPlan};
+use crate::plan::{NumericTemplates, SymbolicPlan};
 use crate::resilience::{ResilienceStats, RetryPolicy};
 use crate::{PhaseTimings, Solver, SolverError};
 use fanout::{CancelReason, NumericFactor, SchedOptions, SchedStats};
@@ -65,7 +65,7 @@ pub struct FactorSession {
     /// The cached task DAG [`Self::refactor`] hands the work-stealing
     /// scheduler; `None` runs the sequential reference executor on the
     /// session-owned arena instead.
-    exec: Option<Arc<ExecTemplates>>,
+    exec: Option<Arc<fanout::Plan>>,
     factor: NumericFactor,
     /// Factor values gathered into CSC order after each refactorization.
     csc_values: Vec<f64>,
@@ -105,7 +105,7 @@ pub struct FactorSession {
 impl FactorSession {
     pub(crate) fn new(
         solver: &Solver,
-        exec: Option<Arc<ExecTemplates>>,
+        exec: Option<Arc<fanout::Plan>>,
         opts: SchedOptions,
     ) -> Self {
         let templates = solver.plan.numeric_templates();
@@ -221,8 +221,8 @@ impl FactorSession {
             let perturbed = match &self.exec {
                 None => fanout::factorize_seq_opts(&mut self.factor, &opts, &mut self.arena)
                     .map(|stats| stats.perturbed_pivots.len() as u64),
-                Some(t) => {
-                    fanout::factorize_sched_opts(&mut self.factor, &t.plan, &opts).map(|stats| {
+                Some(plan) => {
+                    fanout::factorize_sched_opts(&mut self.factor, plan, &opts).map(|stats| {
                         let perturbed = stats.pivot_perturbations;
                         self.sched_stats = Some(stats);
                         perturbed

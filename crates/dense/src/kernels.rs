@@ -233,12 +233,12 @@ pub fn syrk_lt_sub_strided(
 }
 
 // ---------------------------------------------------------------------------
-// Triangular solves for single right-hand sides (distributed solve phase)
+// Triangular solves for single right-hand sides (diagonal-block lanes)
 // ---------------------------------------------------------------------------
 
 /// Solves `L·x = b` in place for one right-hand side, with `l` the row-major
-/// lower-triangular `n × n` factor (used by the distributed forward solve on
-/// diagonal blocks).
+/// lower-triangular `n × n` factor (a diagonal block's forward step in a
+/// solve on the block factor).
 pub fn trsv_lower(l: &[f64], n: usize, x: &mut [f64]) {
     assert_eq!(l.len(), n * n);
     assert_eq!(x.len(), n);
@@ -252,8 +252,8 @@ pub fn trsv_lower(l: &[f64], n: usize, x: &mut [f64]) {
     }
 }
 
-/// Solves `Lᵀ·x = b` in place for one right-hand side (distributed backward
-/// solve on diagonal blocks).
+/// Solves `Lᵀ·x = b` in place for one right-hand side (a diagonal block's
+/// backward step in a solve on the block factor).
 pub fn trsv_lower_trans(l: &[f64], n: usize, x: &mut [f64]) {
     assert_eq!(l.len(), n * n);
     assert_eq!(x.len(), n);

@@ -43,7 +43,6 @@ pub mod factor;
 pub mod faults;
 pub mod plan;
 pub mod proto;
-pub mod psolve;
 pub mod reuse;
 pub mod sched;
 pub mod seq;
@@ -56,13 +55,12 @@ pub use critpath::{block_levels, critical_path, CriticalPath};
 pub use factor::NumericFactor;
 pub use faults::{Fault, FaultPlan};
 pub use plan::Plan;
-pub use psolve::{solve_threaded, solve_threaded_many, solve_threaded_many_with, SolvePlan};
 pub use reuse::{AssemblyTemplate, CscTemplate};
 pub use sched::{factorize_sched, factorize_sched_opts, SchedOptions, SchedStats};
 pub use seq::{factorize_seq, factorize_seq_opts, SeqStats};
 pub use simplicial::{factorize_simplicial, factorize_simplicial_from, CscFactor};
 pub use sim::{block_ranks, simulate, simulate_traced, simulate_with_policy, SimOutcome, SimPolicy};
-pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi, solve_many};
+pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi};
 // Tracing vocabulary, re-exported so executor callers need no direct `trace`
 // dependency to configure or consume a trace.
 pub use trace::{CounterEvent, TaskKind, Trace, TraceEvent, TraceOpts};

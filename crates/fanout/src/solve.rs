@@ -80,30 +80,6 @@ pub fn solve_csc_multi(cp: &[usize], ri: &[u32], v: &[f64], x: &mut [f64], k: us
     }
 }
 
-/// Solves `L·Lᵀ·xᵣ = bᵣ` for a batch of right-hand sides, returning one
-/// solution per input. Each result is bit-identical to [`solve`] on the
-/// same right-hand side (see [`solve_csc_multi`]).
-pub fn solve_many(f: &NumericFactor, bs: &[&[f64]]) -> Vec<Vec<f64>> {
-    let n = f.bm.sn.n();
-    let k = bs.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    let (cp, ri, v) = f.to_csc();
-    // Interleave lanes: x[i*k + r] = bs[r][i].
-    let mut x = vec![0.0; n * k];
-    for (r, b) in bs.iter().enumerate() {
-        assert_eq!(b.len(), n);
-        for (i, &bi) in b.iter().enumerate() {
-            x[i * k + r] = bi;
-        }
-    }
-    solve_csc_multi(&cp, &ri, &v, &mut x, k);
-    (0..k)
-        .map(|r| (0..n).map(|i| x[i * k + r]).collect())
-        .collect()
-}
-
 /// Relative residual `‖A·x − L·(Lᵀ·x)‖∞ / ‖A·x‖∞` for a deterministic probe
 /// vector — a cheap global correctness check usable at any problem size.
 pub fn residual_norm(a: &SymCscMatrix, f: &NumericFactor) -> f64 {
@@ -187,17 +163,26 @@ mod tests {
                     .collect()
             })
             .collect();
-        let refs: Vec<&[f64]> = rhs.iter().map(|b| b.as_slice()).collect();
-        let batch = solve_many(&f, &refs);
-        for (b, got) in rhs.iter().zip(&batch) {
+        let k = rhs.len();
+        // Interleave lanes: x[i*k + r] = rhs[r][i].
+        let mut x = vec![0.0; n * k];
+        for (r, b) in rhs.iter().enumerate() {
+            for (i, &bi) in b.iter().enumerate() {
+                x[i * k + r] = bi;
+            }
+        }
+        let (cp, ri, v) = f.to_csc();
+        solve_csc_multi(&cp, &ri, &v, &mut x, k);
+        for (r, b) in rhs.iter().enumerate() {
             let single = solve(&f, b);
-            for (g, s) in got.iter().zip(&single) {
-                assert_eq!(g.to_bits(), s.to_bits(), "lane diverged from single solve");
+            for (i, s) in single.iter().enumerate() {
+                assert_eq!(x[i * k + r].to_bits(), s.to_bits(), "lane diverged from single solve");
             }
         }
         // And the batch actually solves the system.
+        let lane0: Vec<f64> = (0..n).map(|i| x[i * k]).collect();
         let mut ax = vec![0.0; n];
-        pa.mul_vec(&batch[0], &mut ax);
+        pa.mul_vec(&lane0, &mut ax);
         for (a, b) in ax.iter().zip(&rhs[0]) {
             assert!((a - b).abs() < 1e-8);
         }

@@ -45,7 +45,7 @@ fn assert_executors_agree(bm: Arc<BlockMatrix>, pa: &sparsemat::SymCscMatrix, pr
     fanout::factorize_sched(&mut f_sched, &plan).unwrap();
     assert_eq!(factor_bits(&f_sched), reference, "sched != seq");
 
-    // Solves agree across the gathered and distributed paths too.
+    // Solves on the seq and sched factors agree bit for bit too.
     let n = pa.n();
     let b: Vec<f64> = (0..n).map(|i| ((i * 29 % 13) as f64) * 0.25 - 1.5).collect();
     let x1 = fanout::solve(&f_seq, &b);

@@ -117,26 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn distributed_solve_agrees_with_gathered_solve(
-        a in arb_spd(25),
-        bs in 1usize..5,
-        p in 1usize..5,
-    ) {
-        let (bm, pa, w) = analyzed(&a, bs);
-        let asg = Assignment::cyclic(&bm, &w, p * p);
-        let plan = Plan::build(&bm, &asg);
-        let mut f = NumericFactor::from_matrix(bm.clone(), &pa);
-        fanout::factorize_seq(&mut f).unwrap();
-        let n = pa.n();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) * 0.5 - 3.0).collect();
-        let x1 = fanout::solve(&f, &b);
-        let x2 = fanout::solve_threaded(&f, &plan, &b);
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() < 1e-8 * (1.0 + u.abs()), "{} vs {}", u, v);
-        }
-    }
-
-    #[test]
     fn factor_residual_is_small_for_any_structure(a in arb_spd(35), bs in 1usize..6) {
         let (bm, pa, _) = analyzed(&a, bs);
         let mut f = NumericFactor::from_matrix(bm, &pa);

@@ -55,9 +55,7 @@ fn main() {
                 _ => ((i % 3 == 1) as i32 as f64) * 0.8,
             })
             .collect();
-        // Distributed solve: both substitution phases run on the same
-        // virtual processors that own the factor blocks.
-        let x = solver.solve_parallel(&factor, &remapped, &b);
+        let x = solver.solve(&factor, &b);
         // Report the largest displacement.
         let umax = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
         println!("load case {case:>9}: max |u| = {umax:.4}");

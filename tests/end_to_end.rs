@@ -269,28 +269,6 @@ fn coprime_grid_assignment_runs() {
 }
 
 #[test]
-fn distributed_solve_matches_gathered_solve() {
-    let problem = gen::cube3d(5);
-    let solver = Solver::analyze_problem(&problem, &opts(6));
-    for p in [1, 4, 9] {
-        let asg = solver.assign_heuristic(p);
-        let factor = solver.factor_sched(&asg, &SchedOptions::default()).unwrap().0;
-        let n = problem.n();
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos() + 2.0).collect();
-        let mut b = vec![0.0; n];
-        problem.matrix.mul_vec(&x_true, &mut b);
-        let x_gathered = solver.solve(&factor, &b);
-        let x_dist = solver.solve_parallel(&factor, &asg, &b);
-        for (i, (g, d)) in x_gathered.iter().zip(&x_dist).enumerate() {
-            assert!((g - d).abs() < 1e-9, "p={p} x[{i}]: {g} vs {d}");
-        }
-        for (d, want) in x_dist.iter().zip(&x_true) {
-            assert!((d - want).abs() < 1e-7);
-        }
-    }
-}
-
-#[test]
 fn matrix_market_roundtrip_through_pipeline() {
     use block_fanout_cholesky::sparsemat::io;
     let problem = gen::bcsstk_like("bk", 60, 11);
