@@ -6,8 +6,8 @@
 //! immutable and `Sync`: wrap it in an `Arc` and any number of concurrent
 //! factor/solve sessions ([`crate::FactorSession`]) can share it. The plan
 //! also lazily caches the *positional* templates that repeated numeric work
-//! needs — the input-entry scatter map, the factor CSC gather map, and the
-//! per-assignment factorization task DAG — so a session's
+//! needs — the input-entry scatter map and the per-assignment factorization
+//! task DAG — so a session's
 //! `refactor`/`resolve` hot path does no structure walks at all. Lazy
 //! construction keeps one-shot `Solver` users from paying for any of it.
 
@@ -16,7 +16,7 @@ use crate::resilience::ResourceEstimate;
 use crate::{OrderingChoice, PhaseSpan, PhaseTimings, SolverError, SolverOptions};
 use balance::{BalanceReport, CommStats};
 use blockmat::{BlockMatrix, BlockWork};
-use fanout::{AssemblyTemplate, CriticalPath, CscTemplate};
+use fanout::{AssemblyTemplate, CriticalPath};
 use mapping::{
     Assignment, ColPolicy, DomainPlan, Heuristic, ProcGrid, RowPolicy,
 };
@@ -39,9 +39,9 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// not accumulate them all.
 pub const DEFAULT_EXEC_CAPACITY: usize = 16;
 
-/// Numeric reuse templates for one input structure: where every input entry
-/// lands in block storage, and where every factor entry lives for the CSC
-/// extraction that feeds triangular solves.
+/// Numeric reuse template for one input structure: where every input entry
+/// lands in block storage. (Solves need no template: they run on the block
+/// storage itself.)
 #[derive(Debug)]
 pub struct NumericTemplates {
     /// Block-storage shape + permuted-entry scatter (for allocation).
@@ -50,8 +50,6 @@ pub struct NumericTemplates {
     /// `(panel, flat position in data[panel])`. Scattering original values
     /// through this map reproduces permute + assemble bit-for-bit.
     pub targets: Vec<(u32, usize)>,
-    /// Factor CSC structure + gather positions.
-    pub csc: CscTemplate,
 }
 
 /// An analyzed sparse SPD structure, ready to be mapped, factored, and
@@ -85,7 +83,7 @@ pub struct SymbolicPlan {
     /// analysis ran sequentially. [`crate::FactorSession`] reports append
     /// these to the pipeline track so Perfetto shows the subtree fan-out.
     pub analyze_spans: Vec<PhaseSpan>,
-    /// Lazily built numeric reuse templates (input scatter + CSC gather).
+    /// Lazily built numeric reuse templates (the input scatter).
     numeric: OnceLock<Arc<NumericTemplates>>,
     /// Lazily built per-assignment task DAGs, keyed by
     /// [`Assignment::signature`], LRU-bounded at [`DEFAULT_EXEC_CAPACITY`].
@@ -267,13 +265,12 @@ impl SymbolicPlan {
         self.numeric
             .get_or_init(|| {
                 let assembly = AssemblyTemplate::build(&self.bm, &self.analysis.pattern);
-                let csc = CscTemplate::build(&self.bm);
                 let targets = original_entry_targets(
                     &self.analysis.perm,
                     &self.analysis.pattern,
                     assembly.targets(),
                 );
-                Arc::new(NumericTemplates { assembly, targets, csc })
+                Arc::new(NumericTemplates { assembly, targets })
             })
             .clone()
     }

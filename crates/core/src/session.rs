@@ -1,21 +1,22 @@
 //! Repeated factor/solve sessions over a shared symbolic plan.
 //!
 //! A [`FactorSession`] owns everything a repeated numeric cycle needs —
-//! block storage, kernel arena, gathered factor CSC, solve workspaces — and
-//! reuses all of it across calls. After the first
+//! block storage, kernel arena, solve workspaces — and reuses all of it
+//! across calls; L is stored once, in blocks. After the first
 //! [`refactor`](FactorSession::refactor)/[`resolve`](FactorSession::resolve)
 //! pair the hot path performs **zero symbolic work and zero allocation**:
 //! assembly is a zero-fill plus one write per input entry through the plan's
 //! precomputed scatter map, factorization rebuilds nothing (the sequential
 //! executor reuses the session arena; the scheduled executor runs the
-//! cached task DAG), and solves run on the gathered CSC through reused
-//! permutation buffers.
+//! cached task DAG), and solves run on the block factor itself
+//! ([`fanout::solve_in_place`]) through reused permutation buffers.
 //!
 //! Both paths are bit-identical to the one-shot pipeline: `refactor`
 //! produces exactly the factor of fresh permute + assemble + factorize on
 //! the same values, and `resolve`/`resolve_many` produce exactly
-//! [`Solver::solve`](crate::Solver::solve)'s bits (the multi-RHS kernel
-//! keeps each lane's operation sequence identical to the single-RHS one).
+//! [`Solver::solve`](crate::Solver::solve)'s bits: every lane of the block
+//! solve performs exactly the operation sequence of the reference
+//! substitution [`fanout::solve_csc`] that the one-shot path runs.
 
 use crate::plan::{NumericTemplates, SymbolicPlan};
 use crate::resilience::{ResilienceStats, RetryPolicy};
@@ -29,7 +30,8 @@ use std::sync::Arc;
 /// repeated solves allocate nothing.
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
-    /// Factor CSC column pointers (one-shot solve paths extract here).
+    /// Factor CSC column pointers: [`Solver::solve_into`] exports the
+    /// factor here for the reference substitution [`fanout::solve_csc`].
     pub(crate) cp: Vec<usize>,
     /// Factor CSC row indices.
     pub(crate) ri: Vec<u32>,
@@ -39,10 +41,13 @@ pub struct SolveWorkspace {
     pub(crate) pb: Vec<f64>,
     /// Iterative-refinement residual.
     pub(crate) resid: Vec<f64>,
-    /// Iterative-refinement correction.
+    /// Iterative-refinement correction, then the iterate it was applied
+    /// to (restored when the step made the residual grow).
     pub(crate) dx: Vec<f64>,
     /// Lane-interleaved multi-RHS buffer.
     pub(crate) lanes: Vec<f64>,
+    /// The block solve's per-panel gather of the slab rows' values.
+    pub(crate) gathered: Vec<f64>,
 }
 
 impl SolveWorkspace {
@@ -66,9 +71,8 @@ pub struct FactorSession {
     /// scheduler; `None` runs the sequential reference executor on the
     /// session-owned arena instead.
     exec: Option<Arc<fanout::Plan>>,
+    /// The factor, the only copy of L: solves run on its blocks.
     factor: NumericFactor,
-    /// Factor values gathered into CSC order after each refactorization.
-    csc_values: Vec<f64>,
     arena: dense::KernelArena,
     ws: SolveWorkspace,
     factored: bool,
@@ -115,7 +119,6 @@ impl FactorSession {
             templates,
             exec,
             factor,
-            csc_values: Vec::new(),
             arena: dense::KernelArena::new(),
             ws: SolveWorkspace::new(),
             factored: false,
@@ -176,8 +179,8 @@ impl FactorSession {
     /// [`sparsemat::SymCscMatrix::values`] of a matrix sharing the analyzed
     /// pattern. No symbolic work runs: the values scatter straight into the
     /// reused block storage through the plan's precomputed map, the
-    /// executor factors in place, and the factor CSC is re-gathered for the
-    /// solve paths. The factor is bit-identical to a fresh
+    /// executor factors in place, and the solves read the factored blocks
+    /// directly. The factor is bit-identical to a fresh
     /// permute + assemble + factorize of the same values.
     ///
     /// Failed attempts are governed by [`Self::retry`]: contained worker
@@ -232,7 +235,6 @@ impl FactorSession {
             match perturbed {
                 Ok(perturbed) => {
                     self.resilience.perturbed_pivots += perturbed;
-                    self.templates.csc.gather_into(&self.factor, &mut self.csc_values);
                     self.factored = true;
                     self.poisoned = false;
                     self.timings.refactor_s = t0.elapsed().as_secs_f64();
@@ -319,16 +321,15 @@ impl FactorSession {
         let perm = &self.plan.analysis.perm;
         self.ws.pb.resize(n, 0.0);
         perm.apply_to_vec_into(b, &mut self.ws.pb);
-        let csc = &self.templates.csc;
-        fanout::solve_csc(&csc.col_ptr, &csc.row_idx, &self.csc_values, &mut self.ws.pb);
+        fanout::solve_in_place(&self.factor, &mut self.ws.pb, 1, &mut self.ws.gathered);
         perm.apply_inverse_to_vec_into(&self.ws.pb, out);
         self.timings.resolve_s = t0.elapsed().as_secs_f64();
     }
 
     /// Solves `A·xᵣ = bᵣ` for a batch of right-hand sides, streaming the
-    /// factor **once** for the whole batch (lane-interleaved blocked
-    /// kernel). Each returned solution is bit-identical to
-    /// [`Self::resolve`] on the same right-hand side.
+    /// factor **once** for the whole batch (lane-interleaved block solve).
+    /// Each returned solution is bit-identical to [`Self::resolve`] on the
+    /// same right-hand side.
     pub fn resolve_many(&mut self, bs: &[&[f64]]) -> Vec<Vec<f64>> {
         assert!(self.factored, "refactor before resolve");
         let t0 = std::time::Instant::now();
@@ -345,14 +346,7 @@ impl FactorSession {
                 self.ws.lanes[perm.new_of_old(i) * k + r] = v;
             }
         }
-        let csc = &self.templates.csc;
-        fanout::solve_csc_multi(
-            &csc.col_ptr,
-            &csc.row_idx,
-            &self.csc_values,
-            &mut self.ws.lanes,
-            k,
-        );
+        fanout::solve_in_place(&self.factor, &mut self.ws.lanes, k, &mut self.ws.gathered);
         let out = (0..k)
             .map(|r| {
                 (0..n)

@@ -238,7 +238,9 @@ pub fn syrk_lt_sub_strided(
 
 /// Solves `L·x = b` in place for one right-hand side, with `l` the row-major
 /// lower-triangular `n × n` factor (a diagonal block's forward step in a
-/// solve on the block factor).
+/// solve on the block factor). Row `i` subtracts its terms in ascending
+/// column order, then divides.
+#[inline]
 pub fn trsv_lower(l: &[f64], n: usize, x: &mut [f64]) {
     assert_eq!(l.len(), n * n);
     assert_eq!(x.len(), n);
@@ -247,20 +249,6 @@ pub fn trsv_lower(l: &[f64], n: usize, x: &mut [f64]) {
         let mut s = x[i];
         for (&lv, &xv) in row.iter().zip(x.iter()) {
             s -= lv * xv;
-        }
-        x[i] = s / l[i * n + i];
-    }
-}
-
-/// Solves `Lᵀ·x = b` in place for one right-hand side (a diagonal block's
-/// backward step in a solve on the block factor).
-pub fn trsv_lower_trans(l: &[f64], n: usize, x: &mut [f64]) {
-    assert_eq!(l.len(), n * n);
-    assert_eq!(x.len(), n);
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for j in (i + 1)..n {
-            s -= l[j * n + i] * x[j];
         }
         x[i] = s / l[i * n + i];
     }
@@ -278,6 +266,7 @@ pub fn trsv_lower_trans(l: &[f64], n: usize, x: &mut [f64]) {
 /// each lane performs exactly the operation sequence of [`trsv_lower`] —
 /// every lane's result is bit-identical to a single-RHS solve of the same
 /// column.
+#[inline]
 pub fn trsv_lower_multi(l: &[f64], n: usize, x: &mut [f64], k: usize) {
     assert_eq!(l.len(), n * n);
     assert_eq!(x.len(), n * k);
@@ -294,26 +283,6 @@ pub fn trsv_lower_multi(l: &[f64], n: usize, x: &mut [f64], k: usize) {
                 s -= lv * done[j * k + r];
             }
             cur[r] = s / d;
-        }
-    }
-}
-
-/// Solves `Lᵀ·X = B` in place for `k` interleaved right-hand sides; each
-/// lane is bit-identical to [`trsv_lower_trans`] on that lane alone.
-pub fn trsv_lower_trans_multi(l: &[f64], n: usize, x: &mut [f64], k: usize) {
-    assert_eq!(l.len(), n * n);
-    assert_eq!(x.len(), n * k);
-    if k == 1 {
-        return trsv_lower_trans(l, n, x);
-    }
-    for i in (0..n).rev() {
-        let d = l[i * n + i];
-        for r in 0..k {
-            let mut s = x[i * k + r];
-            for j in (i + 1)..n {
-                s -= l[j * n + i] * x[j * k + r];
-            }
-            x[i * k + r] = s / d;
         }
     }
 }
@@ -774,22 +743,12 @@ mod tests {
         for (got, want) in b.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-12);
         }
-        // bt = Lᵀ·x
-        let mut bt = vec![0.0; n];
-        for i in 0..n {
-            for j in i..n {
-                bt[i] += l[j * n + i] * x_true[j];
-            }
-        }
-        trsv_lower_trans(&l, n, &mut bt);
-        for (got, want) in bt.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-12);
-        }
     }
 
     #[test]
     fn trsv_composes_to_full_solve() {
-        // L(Lᵀx) = A x round trip.
+        // L(Lᵀx) = A x round trip: the forward kernel, then a plain
+        // back substitution with Lᵀ.
         let n = 5;
         let a = spd_test_matrix(n);
         let mut l = a.clone();
@@ -803,7 +762,10 @@ mod tests {
             }
         }
         trsv_lower(&l, n, &mut b);
-        trsv_lower_trans(&l, n, &mut b);
+        for i in (0..n).rev() {
+            let s = (i + 1..n).fold(b[i], |s, j| s - l[j * n + i] * b[j]);
+            b[i] = s / l[i * n + i];
+        }
         for (got, want) in b.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-9);
         }
@@ -827,11 +789,9 @@ mod tests {
                 }
             }
             trsv_lower_multi(&l, n, &mut x, k);
-            trsv_lower_trans_multi(&l, n, &mut x, k);
             for (r, lane) in lanes.iter().enumerate() {
                 let mut single = lane.clone();
                 trsv_lower(&l, n, &mut single);
-                trsv_lower_trans(&l, n, &mut single);
                 for i in 0..n {
                     assert_eq!(
                         x[i * k + r].to_bits(),

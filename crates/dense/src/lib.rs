@@ -31,7 +31,6 @@ pub use kernels::{
     gemm_abt_sub, gemm_abt_sub_strided, gemm_abt_sub_with, potrf, potrf_with, syrk_lt_sub,
     syrk_lt_sub_strided, syrk_lt_sub_with,
     trsm_right_lower_trans, trsm_right_lower_trans_with, trsv_lower, trsv_lower_multi,
-    trsv_lower_trans, trsv_lower_trans_multi,
     with_default_arena,
 };
 pub use mat::DenseMat;

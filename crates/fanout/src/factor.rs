@@ -191,10 +191,32 @@ impl NumericFactor {
         }
     }
 
+    /// Block column `pj` as the solve and the CSC export see it:
+    /// `(first column, width c, the c × c diagonal block, the slab below it,
+    /// the slab's global rows)`.
+    ///
+    /// The blocks cut the supernode's rows from the panel's first column to
+    /// the end into one contiguous run, and their buffers are concatenated
+    /// in the same order: below the diagonal block the panel is one dense
+    /// row-major `rows × c` matrix, and its rows are the supernode's rows
+    /// past the panel's own columns.
+    #[inline]
+    pub(crate) fn panel(&self, pj: usize) -> (usize, usize, &[f64], &[f64], &[u32]) {
+        let bm = &self.bm;
+        let cols = bm.partition.cols(pj);
+        let c = cols.len();
+        let s = bm.partition.sn_of_panel[pj] as usize;
+        let rows = &bm.sn.rows[s][cols.end - bm.sn.first_col[s] as usize..];
+        let (diag, slab) = self.data[pj].split_at(c * c);
+        assert_eq!(slab.len(), rows.len() * c, "panel {pj}: rows vs storage");
+        (cols.start, c, diag, slab, rows)
+    }
+
     /// Extracts the factor as column-compressed arrays
     /// `(col_ptr, row_idx, values)` over the stored structure (explicit
     /// zeros from amalgamation included), rows ascending within columns and
-    /// diagonal first. Used by the triangular solver.
+    /// diagonal first. This is the factor's export format and the input of
+    /// the reference solve [`crate::solve_csc`].
     pub fn to_csc(&self) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
         let mut col_ptr = Vec::new();
         let mut row_idx = Vec::new();
@@ -222,16 +244,7 @@ impl NumericFactor {
         row_idx.reserve(stored);
         values.reserve(stored);
         for pj in 0..bm.num_panels() {
-            let c = bm.col_width(pj);
-            let start = bm.partition.cols(pj).start;
-            let col = &bm.cols[pj];
-            // The blocks cut one contiguous run of the supernode's rows, and
-            // their buffers are concatenated in the same order: below the
-            // diagonal block the panel is one dense `rows × c` matrix.
-            let (diag, below) = self.data[pj].split_at(c * c);
-            let (first, last) = (col.blocks[0], col.blocks[col.blocks.len() - 1]);
-            let below_rows = &bm.sn.rows[col.sn as usize][first.hi as usize..last.hi as usize];
-            assert_eq!(below.len(), below_rows.len() * c, "panel {pj}: rows vs storage");
+            let (start, c, diag, below, below_rows) = self.panel(pj);
             for col_off in 0..c {
                 for r in col_off..c {
                     row_idx.push((start + r) as u32);

@@ -55,12 +55,12 @@ pub use critpath::{block_levels, critical_path, CriticalPath};
 pub use factor::NumericFactor;
 pub use faults::{Fault, FaultPlan};
 pub use plan::Plan;
-pub use reuse::{AssemblyTemplate, CscTemplate};
+pub use reuse::AssemblyTemplate;
 pub use sched::{factorize_sched, factorize_sched_opts, SchedOptions, SchedStats};
 pub use seq::{factorize_seq, factorize_seq_opts, SeqStats};
 pub use simplicial::{factorize_simplicial, factorize_simplicial_from, CscFactor};
 pub use sim::{block_ranks, simulate, simulate_traced, simulate_with_policy, SimOutcome, SimPolicy};
-pub use solve::{residual_norm, solve, solve_csc, solve_csc_multi};
+pub use solve::{residual_norm, solve, solve_csc, solve_in_place};
 // Tracing vocabulary, re-exported so executor callers need no direct `trace`
 // dependency to configure or consume a trace.
 pub use trace::{CounterEvent, TaskKind, Trace, TraceEvent, TraceOpts};

@@ -1,19 +1,14 @@
-//! Precomputed scatter/gather templates for repeated factorization.
+//! The precomputed assembly template for repeated factorization.
 //!
 //! A solver that refactors the same structure with new values should not pay
-//! for symbolic work twice — and not for *positional* work either: locating
-//! the block and flat offset of every input entry (assembly) and of every
-//! factor entry (the CSC extraction that feeds the triangular solve) depends
-//! only on the block structure. These templates compute those positions
-//! once; afterwards [`AssemblyTemplate::assemble_into`] is a zero-fill plus
-//! one write per input entry, and [`CscTemplate::gather_into`] is one read
-//! per factor entry — both allocation-free.
-//!
-//! Both templates reproduce the reference paths bit-for-bit:
-//! `assemble_into` writes exactly the values that
+//! for symbolic work twice — and not for *positional* work either: the block
+//! and flat offset of every input entry depend only on the block structure.
+//! [`AssemblyTemplate`] computes those positions once; afterwards
+//! [`AssemblyTemplate::assemble_into`] is a zero-fill plus one write per
+//! input entry, allocation-free, and writes exactly the values that
 //! [`NumericFactor::from_matrix_parallel`] writes (same positions, same
-//! source floats), and `gather_into` reads values in exactly the order of
-//! [`NumericFactor::to_csc`].
+//! source floats). The solve needs no template: [`crate::solve_in_place`]
+//! runs on the block storage itself.
 
 use crate::factor::NumericFactor;
 use blockmat::BlockMatrix;
@@ -121,79 +116,6 @@ impl AssemblyTemplate {
     }
 }
 
-/// Precomputed factor-storage → CSC gather map.
-///
-/// The structure side of [`NumericFactor::to_csc`] (column pointers, row
-/// indices, and the flat storage position of every entry) is fixed per block
-/// structure; only the values change between refactorizations. Gathering
-/// through the template fills a reused value buffer with exactly the floats
-/// `to_csc` would produce, in the same order.
-#[derive(Debug, Clone)]
-pub struct CscTemplate {
-    /// Factor column pointers (length `n + 1`).
-    pub col_ptr: Vec<usize>,
-    /// Factor row indices, diagonal first, ascending within each column.
-    pub row_idx: Vec<u32>,
-    /// Per CSC entry: `(panel, flat position in data[panel])`.
-    gather: Vec<(u32, usize)>,
-}
-
-impl CscTemplate {
-    /// Precomputes the gather map for `bm`'s block storage (the `offsets`
-    /// layout is recomputed here with the same formula the factor uses).
-    pub fn build(bm: &BlockMatrix) -> Self {
-        let n = bm.sn.n();
-        let np = bm.num_panels();
-        let mut offsets = Vec::with_capacity(np);
-        for j in 0..np {
-            let c = bm.col_width(j);
-            let mut offs = Vec::with_capacity(bm.cols[j].blocks.len());
-            let mut len = 0usize;
-            for (b, blk) in bm.cols[j].blocks.iter().enumerate() {
-                offs.push(len);
-                len += if b == 0 { c * c } else { blk.nrows() * c };
-            }
-            offsets.push(offs);
-        }
-        let mut col_ptr = vec![0usize; n + 1];
-        let mut row_idx = Vec::new();
-        let mut gather = Vec::new();
-        for j in 0..n {
-            let pj = bm.partition.panel_of_col[j] as usize;
-            let c = bm.col_width(pj);
-            let col_off = j - bm.partition.cols(pj).start;
-            for (b, blk) in bm.cols[pj].blocks.iter().enumerate() {
-                if b == 0 {
-                    for r in col_off..c {
-                        row_idx.push((bm.partition.cols(pj).start + r) as u32);
-                        gather.push((pj as u32, offsets[pj][0] + r * c + col_off));
-                    }
-                } else {
-                    for (r, &gi) in bm.block_rows(pj, blk).iter().enumerate() {
-                        row_idx.push(gi);
-                        gather.push((pj as u32, offsets[pj][b] + r * c + col_off));
-                    }
-                }
-            }
-            col_ptr[j + 1] = row_idx.len();
-        }
-        Self { col_ptr, row_idx, gather }
-    }
-
-    /// Number of stored factor entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
-    /// Gathers the factor's values into `out` (resized to [`Self::nnz`]),
-    /// bit-identical to the value array of [`NumericFactor::to_csc`].
-    pub fn gather_into(&self, f: &NumericFactor, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.gather.iter().map(|&(p, at)| f.data[p as usize][at]));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,23 +148,6 @@ mod tests {
                     assert_eq!(g.to_bits(), w.to_bits());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn template_gather_matches_to_csc() {
-        let (bm, a) = build(7, 3);
-        let mut f = NumericFactor::from_matrix(bm.clone(), &a);
-        crate::seq::factorize_seq(&mut f).unwrap();
-        let (cp, ri, v) = f.to_csc();
-        let tpl = CscTemplate::build(&bm);
-        assert_eq!(tpl.col_ptr, cp);
-        assert_eq!(tpl.row_idx, ri);
-        let mut out = Vec::new();
-        tpl.gather_into(&f, &mut out);
-        assert_eq!(out.len(), v.len());
-        for (g, w) in out.iter().zip(&v) {
-            assert_eq!(g.to_bits(), w.to_bits());
         }
     }
 }

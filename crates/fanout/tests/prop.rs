@@ -1,7 +1,7 @@
 //! Property-based tests for the fan-out executors: protocol invariants and
 //! numeric agreement on random SPD problems under random configurations.
 
-use blockmat::{BlockMatrix, BlockWork, WorkModel};
+use blockmat::{BlockMatrix, BlockPolicy, BlockWork, WorkModel};
 use fanout::{NumericFactor, Plan};
 use mapping::{Assignment, ColPolicy, Heuristic, ProcGrid, RowPolicy};
 use proptest::prelude::*;
@@ -122,5 +122,80 @@ proptest! {
         let mut f = NumericFactor::from_matrix(bm, &pa);
         fanout::factorize_seq(&mut f).unwrap();
         prop_assert!(fanout::residual_norm(&pa, &f) < 1e-10);
+    }
+}
+
+/// Every lane of the block solve bit-equals the reference substitution on
+/// the factor's CSC export, for 1 to 17 interleaved lanes (every lane-chunk
+/// split), on the oracle corpus under every block policy with amalgamation
+/// on and off. The right-hand sides carry zeros of both signs and negative
+/// values.
+#[test]
+fn solve_in_place_lanes_are_bit_equal_to_solve_csc() {
+    const K: usize = 17;
+    let problems = [
+        sparsemat::gen::grid2d(18),
+        sparsemat::gen::cube3d(7),
+        sparsemat::gen::bcsstk_like("oracle-bk", 390, 3),
+        sparsemat::gen::copter_like("oracle-copter", 390, 5),
+        sparsemat::gen::fleet_like("oracle-fleet", 400, 7),
+    ];
+    let policies =
+        [BlockPolicy::Uniform, BlockPolicy::WorkEqualized, BlockPolicy::Rectilinear { sweeps: 2 }];
+    for p in &problems {
+        let perm = ordering::order_problem(p);
+        let n = p.n();
+        let rhs: Vec<Vec<f64>> = (0..K)
+            .map(|r| {
+                (0..n)
+                    .map(|i| match (i + r) % 7 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => ((i * 37 + r * 11) % 23) as f64 * 0.125 - 1.25,
+                    })
+                    .collect()
+            })
+            .collect();
+        for amalg in [AmalgamationOpts::off(), AmalgamationOpts::default()] {
+            let analysis = symbolic::analyze(p.matrix.pattern(), &perm, &amalg);
+            let pa = analysis.perm.apply_to_matrix(&p.matrix);
+            for policy in policies {
+                let what = format!("{} {policy:?} amalgamation {amalg:?}", p.name);
+                let partition =
+                    policy.build_partition(&analysis.supernodes, 8, &WorkModel::default());
+                let bm =
+                    Arc::new(BlockMatrix::from_partition(analysis.supernodes.clone(), partition));
+                let mut f = NumericFactor::from_matrix(bm, &pa);
+                fanout::factorize_seq(&mut f).unwrap();
+                let (cp, ri, v) = f.to_csc();
+                let want: Vec<Vec<f64>> = rhs
+                    .iter()
+                    .map(|b| {
+                        let mut x = b.clone();
+                        fanout::solve_csc(&cp, &ri, &v, &mut x);
+                        x
+                    })
+                    .collect();
+                let mut gathered = Vec::new();
+                for k in 1..=K {
+                    let mut x = vec![0.0; n * k];
+                    for (r, b) in rhs[..k].iter().enumerate() {
+                        for (i, &bi) in b.iter().enumerate() {
+                            x[i * k + r] = bi;
+                        }
+                    }
+                    fanout::solve_in_place(&f, &mut x, k, &mut gathered);
+                    for (r, w) in want[..k].iter().enumerate() {
+                        for (i, wi) in w.iter().enumerate() {
+                            assert_eq!(
+                                x[i * k + r].to_bits(),
+                                wi.to_bits(),
+                                "{what}: k={k} lane {r} row {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

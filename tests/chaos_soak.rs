@@ -16,6 +16,10 @@
 //! 4. **Flat steady state** — once warm, clean refactor/resolve cycles are
 //!    allocation-free: net live bytes across the soak loop stay flat
 //!    (measured by a counting global allocator).
+//! 5. **One copy of L** — opening, first-refactoring and resolving a
+//!    sequential session adds no more live bytes than the block factor, the
+//!    input scatter map (40 B per input entry), 64 B per row and the kernel
+//!    arena: no second copy of the factor rides along.
 //!
 //! Plus admission control: a budget below the plan's resource estimate is
 //! rejected, one above it admits and serves the cached plan.
@@ -27,7 +31,8 @@ use block_fanout_cholesky::core::{
     CancelToken, FaultPlan, NumericFactor, PlanCache, ResourceBudget, RetryPolicy, SchedOptions,
     Solver, SolverError, SolverOptions,
 };
-use block_fanout_cholesky::fanout::Error as FactorError;
+use block_fanout_cholesky::dense::KernelArena;
+use block_fanout_cholesky::fanout::{factorize_seq_opts, Error as FactorError};
 use block_fanout_cholesky::sparsemat::{gen, Problem, SymCscMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -160,6 +165,27 @@ fn concurrent_sessions_survive_chaos_and_recover_bit_identically() {
     let n = problem.n();
     let vals = value_sets(&problem.matrix, 8);
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.17).sin()).collect();
+
+    // Gate 5, first, while no other thread allocates. The arena a first
+    // refactor grows is measured on a twin factorization beforehand.
+    let fresh = Solver::analyze_problem(&problem, &opts);
+    let mut arena = KernelArena::new();
+    factorize_seq_opts(&mut fresh.assemble(), &SchedOptions::default(), &mut arena)
+        .expect("SPD by construction");
+    let live_before = net_live_bytes();
+    let mut session = fresh.session();
+    session.refactor(problem.matrix.values()).expect("SPD by construction");
+    let x = session.resolve(&b);
+    let added = net_live_bytes() - live_before;
+    let allowed = fresh.plan.resource_estimate().factor_bytes as i64
+        + 40 * session.input_nnz() as i64
+        + 64 * n as i64
+        + 8 * arena.reserved() as i64;
+    assert!(
+        added <= allowed,
+        "a session holds {added} live bytes, more than the {allowed} its factor needs"
+    );
+    drop((session, x, fresh));
 
     // Sequential reference bits for every value set (gates 2 and 3).
     let ref_bits: Vec<Vec<u64>> = vals

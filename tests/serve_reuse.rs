@@ -104,27 +104,31 @@ proptest! {
 
     /// Batched solves stream the factor once for all lanes but must keep
     /// each lane's operation sequence — and therefore its bits — identical
-    /// to a looped single-RHS solve.
+    /// to a looped single-RHS solve: for batch sizes on both sides of the
+    /// 8-lane chunk, on sequential and scheduled sessions.
     #[test]
     fn resolve_many_is_bit_identical_to_looped_resolve(
         a in arb_spd(36),
         bs in 1usize..8,
-        k in 1usize..6,
     ) {
         let solver = Solver::analyze(&a, &opts(bs, true));
-        let mut session = solver.session();
-        session.refactor(a.values()).expect("SPD by construction");
+        let asg = solver.assign_cyclic(4);
         let n = a.n();
-        let rhs: Vec<Vec<f64>> = (0..k)
+        let rhs: Vec<Vec<f64>> = (0..17)
             .map(|r| (0..n).map(|i| ((i * (r + 2)) as f64 * 0.13).cos()).collect())
             .collect();
-        let refs: Vec<&[f64]> = rhs.iter().map(|v| v.as_slice()).collect();
-        let many = session.resolve_many(&refs);
-        prop_assert_eq!(many.len(), k);
-        for (r, x) in many.iter().enumerate() {
-            let single = session.resolve(&rhs[r]);
-            for (g, w) in x.iter().zip(&single) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
+        for mut session in [solver.session(), solver.session_sched(&asg, &SchedOptions::default())] {
+            session.refactor(a.values()).expect("SPD by construction");
+            for k in [1, 7, 8, 9, 17] {
+                let refs: Vec<&[f64]> = rhs[..k].iter().map(|v| v.as_slice()).collect();
+                let many = session.resolve_many(&refs);
+                prop_assert_eq!(many.len(), k);
+                for (r, x) in many.iter().enumerate() {
+                    let single = session.resolve(&rhs[r]);
+                    for (g, w) in x.iter().zip(&single) {
+                        prop_assert_eq!(g.to_bits(), w.to_bits());
+                    }
+                }
             }
         }
     }
