@@ -81,12 +81,7 @@ proptest! {
         );
         let stats = comm_volume(&bm, &asg);
         let plan = fanout::Plan::build(&bm, &asg);
-        let msgs: u64 = plan
-            .send_to
-            .iter()
-            .flat_map(|c| c.iter().map(|l| l.len() as u64))
-            .sum();
-        prop_assert_eq!(stats.messages, msgs);
+        prop_assert_eq!(stats.messages, plan.send_to.len() as u64);
     }
 
     #[test]

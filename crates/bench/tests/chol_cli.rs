@@ -43,14 +43,27 @@ fn bad_input_exits_with_status_1_and_a_message() {
         &SymCscMatrix::from_coords(2, &[(0, 0, 1.0), (1, 0, 3.0), (1, 1, 1.0)]).unwrap(),
     );
     let bad_header = scratch("bad_header.mtx", b"%%MatrixMarket matrix array real general\n2 2\n");
+    // Headers that claim more than the file holds: an entry count whose
+    // reservation alone would exceed memory, and a dimension past the
+    // 32-bit index type.
+    let huge_nnz = scratch(
+        "huge_nnz.mtx",
+        b"%%MatrixMarket matrix coordinate real symmetric\n5 5 99999999999\n1 1 4.0\n",
+    );
+    let huge_n = scratch(
+        "huge_n.mtx",
+        b"%%MatrixMarket matrix coordinate real symmetric\n99999999999 99999999999 1\n1 1 4.0\n",
+    );
     let short_rhs = scratch("short.rhs", b"1.0\n2.0\n3.0\n");
     let non_utf8_rhs = scratch("non_utf8.rhs", b"1.0\n\xff\xfe\n");
     let missing = path("missing.mtx");
     let unwritable = path("no/such/dir/x.out");
 
-    let probes: [(&str, Vec<&str>, &str); 6] = [
+    let probes: [(&str, Vec<&str>, &str); 8] = [
         ("missing file", vec![&missing], "cannot open"),
         ("malformed header", vec![&bad_header], "cannot parse"),
+        ("header entry count past the file", vec![&huge_nnz], "expected 99999999999 entries"),
+        ("header dimension past u32", vec![&huge_n], "32-bit index limit"),
         ("indefinite matrix", vec![&indefinite], "error:"),
         ("short --rhs", vec![&good, "--rhs", &short_rhs], "rhs has 3 values"),
         ("non-UTF-8 --rhs", vec![&good, "--rhs", &non_utf8_rhs], "cannot read rhs"),

@@ -7,6 +7,12 @@
 //! falling in row subset `I` and column subset `J`; within a block every row
 //! is either entirely zero or dense.
 //!
+//! Building a [`BlockMatrix`] also lists its `BMOD(I,J,K)` updates once
+//! ([`Updates`]): per source column the destination of every pair, and per
+//! destination block its sources in ascending `K`. That one graph is what
+//! the work model, the critical path, the fan-out plan, the protocol and
+//! both numeric executors range over.
+//!
 //! The work model (Section 3.2) approximates the runtime a block costs its
 //! owner: the floating point operations performed on behalf of the block
 //! plus a fixed `1000`-op charge per distinct block operation, reflecting
@@ -18,7 +24,7 @@ pub mod policy;
 pub mod structure;
 pub mod work;
 
-pub use ops::{for_each_bmod, BmodOp};
+pub use ops::{for_each_bmod, BmodOp, Updates};
 pub use partition::BlockPartition;
 pub use policy::BlockPolicy;
 pub use structure::{Block, BlockCol, BlockMatrix};

@@ -1,5 +1,6 @@
 //! The 2-D block nonzero structure of the factor.
 
+use crate::ops::Updates;
 use crate::partition::BlockPartition;
 use symbolic::Supernodes;
 
@@ -34,8 +35,9 @@ pub struct BlockCol {
     pub blocks: Vec<Block>,
 }
 
-/// The block matrix: partition, per-column block lists, and the supernodal
-/// structure the row ranges index into.
+/// The block matrix: partition, per-column block lists, the supernodal
+/// structure the row ranges index into, and the update graph over the
+/// blocks.
 #[derive(Debug, Clone)]
 pub struct BlockMatrix {
     /// The supernode partition and row structures (owned).
@@ -44,6 +46,8 @@ pub struct BlockMatrix {
     pub partition: BlockPartition,
     /// Block lists per block column.
     pub cols: Vec<BlockCol>,
+    /// Every `BMOD` between the blocks of `cols`, listed once.
+    updates: Updates,
 }
 
 impl BlockMatrix {
@@ -67,8 +71,9 @@ impl BlockMatrix {
     /// Builds the block lists for an existing partition.
     pub fn from_partition(sn: Supernodes, partition: BlockPartition) -> Self {
         let np = partition.count();
-        let cols = (0..np).map(|j| build_col(&sn, &partition, j)).collect();
-        Self { sn, partition, cols }
+        let cols: Vec<BlockCol> = (0..np).map(|j| build_col(&sn, &partition, j)).collect();
+        let updates = Updates::new(&cols);
+        Self { sn, partition, cols, updates }
     }
 
     /// [`Self::from_partition`] with the per-column block lists built by
@@ -114,8 +119,10 @@ impl BlockMatrix {
         for (j, c) in chunks.into_iter().flatten() {
             cols[j] = Some(c);
         }
-        let cols = cols.into_iter().map(|c| c.expect("every column built")).collect();
-        Self { sn, partition, cols }
+        let cols: Vec<BlockCol> =
+            cols.into_iter().map(|c| c.expect("every column built")).collect();
+        let updates = Updates::new(&cols);
+        Self { sn, partition, cols, updates }
     }
 
     /// Number of block columns (= block rows) `N`.
@@ -125,8 +132,16 @@ impl BlockMatrix {
     }
 
     /// Total number of nonzero blocks.
+    #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.cols.iter().map(|c| c.blocks.len()).sum()
+        self.updates.num_blocks()
+    }
+
+    /// The update graph: every `BMOD`, its destination, and each block's
+    /// incoming updates.
+    #[inline]
+    pub fn updates(&self) -> &Updates {
+        &self.updates
     }
 
     /// Global row indices of a block in column `j`.
@@ -141,7 +156,9 @@ impl BlockMatrix {
         self.partition.width(j)
     }
 
-    /// Finds the block `L[I][J]` within column `j`, if present.
+    /// Finds the block `L[I][J]` within column `j`, if present, by binary
+    /// search. Assembly maps matrix entries to blocks with it; `BMOD`
+    /// destinations come from [`Self::updates`].
     pub fn find_block(&self, i: usize, j: usize) -> Option<usize> {
         self.cols[j]
             .blocks

@@ -65,11 +65,8 @@ impl BlockWork {
         }
         // BMODs charge their destination block.
         for_each_bmod(bm, |op| {
-            let bi = bm
-                .find_block(op.i as usize, op.j as usize)
-                .expect("BMOD destination exists");
             let fl = op.flops();
-            per_block[op.j as usize][bi] += fl + model.fixed_op_cost;
+            per_block[op.j as usize][op.dest_b as usize] += fl + model.fixed_op_cost;
             num_ops += 1;
             total_flops += fl;
         });

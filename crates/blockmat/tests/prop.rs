@@ -1,6 +1,6 @@
 //! Property-based tests for the block decomposition and work model.
 
-use blockmat::{for_each_bmod, BlockMatrix, BlockWork, WorkModel};
+use blockmat::{for_each_bmod, BlockMatrix, BlockPolicy, BlockWork, WorkModel};
 use proptest::prelude::*;
 use sparsemat::Problem;
 use symbolic::AmalgamationOpts;
@@ -121,6 +121,58 @@ proptest! {
                 prop_assert_eq!(partition.depth[p], partition.depth[parent] + 1);
             } else {
                 prop_assert_eq!(partition.depth[p], 0);
+            }
+        }
+    }
+}
+
+/// The update graph against its definition, on the oracle corpus under
+/// every block policy with amalgamation on and off: every destination is
+/// the block `find_block` finds, each block's source list is exactly the
+/// `BMOD`s into it in ascending source column, and the lists together hold
+/// every `BMOD` once.
+#[test]
+fn update_graph_matches_find_block_and_the_enumeration() {
+    let problems = [
+        sparsemat::gen::grid2d(18),
+        sparsemat::gen::cube3d(7),
+        sparsemat::gen::bcsstk_like("oracle-bk", 390, 3),
+        sparsemat::gen::copter_like("oracle-copter", 390, 5),
+        sparsemat::gen::fleet_like("oracle-fleet", 400, 7),
+    ];
+    let policies =
+        [BlockPolicy::Uniform, BlockPolicy::WorkEqualized, BlockPolicy::Rectilinear { sweeps: 2 }];
+    for p in &problems {
+        let perm = ordering::order_problem(p);
+        for amalg in [AmalgamationOpts::off(), AmalgamationOpts::default()] {
+            let analysis = symbolic::analyze(p.matrix.pattern(), &perm, &amalg);
+            for policy in policies {
+                let what = format!("{} {policy:?} amalgamation {amalg:?}", p.name);
+                let partition =
+                    policy.build_partition(&analysis.supernodes, 8, &WorkModel::default());
+                let bm = BlockMatrix::from_partition(analysis.supernodes.clone(), partition);
+                let upd = bm.updates();
+                let mut into: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); bm.num_blocks()];
+                let mut bmods = 0;
+                for_each_bmod(&bm, |op| {
+                    let (i, j) = (op.i as usize, op.j as usize);
+                    let want = bm.find_block(i, j).expect("BMOD destination exists");
+                    assert_eq!(op.dest_b as usize, want, "{what}: destination of {op:?}");
+                    let (k, a, b) = (op.k as usize, op.src_a as usize, op.src_b as usize);
+                    assert_eq!(upd.dest(k, a, b), want, "{what}: dest({k}, {a}, {b})");
+                    into[upd.block_id(j, want)].push((op.k, op.src_a, op.src_b));
+                    bmods += 1;
+                });
+                let mut listed = 0;
+                for (id, want) in into.iter().enumerate() {
+                    let got = upd.sources(id);
+                    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "{what}: block {id}");
+                    assert_eq!(got, &want[..], "{what}: sources of block {id}");
+                    listed += got.len();
+                }
+                assert_eq!(listed, bmods, "{what}");
+                assert_eq!(upd.num_updates(), bmods, "{what}");
+                assert_eq!(upd.num_blocks(), bm.cols.iter().map(|c| c.blocks.len()).sum());
             }
         }
     }

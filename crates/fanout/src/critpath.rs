@@ -66,21 +66,12 @@ pub fn critical_path(bm: &BlockMatrix, model: &MachineModel) -> CriticalPath {
             finish[k][b] = finish[k][0].max(ready[k][b]) + t;
         }
         // Push BMODs out of column k.
-        let blocks = &bm.cols[k].blocks;
-        for b in 1..blocks.len() {
-            for a in b..blocks.len() {
-                let (i, j) = (blocks[a].row_panel as usize, blocks[b].row_panel as usize);
-                let fl = if a == b {
-                    flops::bmod_diag(blocks[a].nrows(), c)
-                } else {
-                    flops::bmod(blocks[a].nrows(), blocks[b].nrows(), c)
-                };
-                let t = model.op_time(fl, c);
-                seq_time += t;
-                let start = finish[k][a].max(finish[k][b]);
-                let db = bm.find_block(i, j).expect("destination exists");
-                ready[j][db] = ready[j][db].max(start + t);
-            }
+        for op in bm.bmods_of(k) {
+            let t = model.op_time(op.flops(), c);
+            seq_time += t;
+            let start = finish[k][op.src_a as usize].max(finish[k][op.src_b as usize]);
+            let dest = &mut ready[op.j as usize][op.dest_b as usize];
+            *dest = dest.max(start + t);
         }
     }
     let length = finish
@@ -117,19 +108,11 @@ pub fn block_levels(bm: &BlockMatrix, model: &MachineModel) -> Vec<Vec<f64>> {
         // Longest consumer chain hanging off each off-diagonal block: every
         // BMOD the block sources, followed by the destination's own level.
         let mut best = vec![0.0f64; blocks.len()];
-        for b in 1..blocks.len() {
-            for a in b..blocks.len() {
-                let (i, j) = (blocks[a].row_panel as usize, blocks[b].row_panel as usize);
-                let fl = if a == b {
-                    flops::bmod_diag(blocks[a].nrows(), c)
-                } else {
-                    flops::bmod(blocks[a].nrows(), blocks[b].nrows(), c)
-                };
-                let db = bm.find_block(i, j).expect("destination exists");
-                let cand = model.op_time(fl, c) + level[j][db];
-                best[a] = best[a].max(cand);
-                best[b] = best[b].max(cand);
-            }
+        for op in bm.bmods_of(k) {
+            let cand = model.op_time(op.flops(), c) + level[op.j as usize][op.dest_b as usize];
+            let (a, b) = (op.src_a as usize, op.src_b as usize);
+            best[a] = best[a].max(cand);
+            best[b] = best[b].max(cand);
         }
         let mut diag_tail = 0.0f64;
         for b in 1..blocks.len() {
@@ -225,20 +208,14 @@ mod tests {
             let m = MachineModel::paragon();
             let cp = critical_path(&bm, &m);
             let levels = block_levels(&bm, &m);
-            let mut incoming: Vec<Vec<u32>> = (0..bm.num_panels())
-                .map(|j| vec![0u32; bm.cols[j].blocks.len()])
-                .collect();
-            blockmat::for_each_bmod(&bm, |op| {
-                let db = bm.find_block(op.i as usize, op.j as usize).unwrap();
-                incoming[op.j as usize][db] += 1;
-            });
             let mut max_source = 0.0f64;
             let mut max_any = 0.0f64;
-            for j in 0..bm.num_panels() {
-                if incoming[j][0] == 0 {
-                    max_source = max_source.max(levels[j][0]);
+            let upd = bm.updates();
+            for (j, col) in levels.iter().enumerate() {
+                if upd.sources(upd.block_id(j, 0)).is_empty() {
+                    max_source = max_source.max(col[0]);
                 }
-                for &l in &levels[j] {
+                for &l in col {
                     max_any = max_any.max(l);
                 }
             }
@@ -265,9 +242,8 @@ mod tests {
             }
         }
         blockmat::for_each_bmod(&bm, |op| {
-            let db = bm.find_block(op.i as usize, op.j as usize).unwrap();
-            let src_b = bm.find_block(op.i as usize, op.k as usize);
-            if let Some(sb) = src_b {
+            let db = op.dest_b as usize;
+            for sb in [op.src_a as usize, op.src_b as usize] {
                 assert!(
                     levels[op.k as usize][sb] > levels[op.j as usize][db],
                     "level must strictly decrease along BMOD ({},{},{})",

@@ -29,8 +29,12 @@
 //! plus the worker-thread knobs only [`sched`] reads — is one struct,
 //! [`SchedOptions`], for both numeric drivers.
 //!
-//! The drivers share [`plan::Plan`] (who owns what, who must receive which
-//! completed block, how many updates each block awaits). That the protocol
+//! The one task graph is the block matrix's update graph
+//! ([`blockmat::Updates`]: each `BMOD`'s destination, each block's incoming
+//! updates in summation order), built with the block matrix; no driver
+//! enumerates the updates itself. The scheduled and simulated drivers also
+//! share [`plan::Plan`] (who owns what, who must receive which completed
+//! block). That the protocol
 //! the simulator times also yields a correct factor is checked by the
 //! `proto` tests, which interpret its action stream with the real kernels.
 //! [`simplicial`] is deliberately *not* a fourth driver: it shares no kernel,

@@ -1,11 +1,12 @@
 //! The static execution plan shared by the scheduled and simulated drivers.
 
-use blockmat::{for_each_bmod, BlockMatrix};
+use blockmat::BlockMatrix;
 use mapping::Assignment;
 
-/// Everything the data-driven protocol needs to know before execution:
-/// block ownership, per-destination update counts, and the recipient list of
-/// every completed block.
+/// Everything the data-driven protocol needs to know before execution
+/// besides the update graph itself ([`BlockMatrix::updates`]): block
+/// ownership and the recipient list of every completed block. Blocks are
+/// addressed by the graph's flat ids ([`blockmat::Updates::block_id`]).
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Owner of every block (`owner[j][b]`, linear processor rank).
@@ -20,99 +21,66 @@ pub struct Plan {
     pub map_j: Vec<u32>,
     /// `eligible[j]`: block column `j` is 2-D mapped (false = domain column).
     pub eligible: Vec<bool>,
-    /// `pending[j][b]`: number of `BMOD`s whose destination is the block.
-    pub pending: Vec<Vec<u32>>,
-    /// Flat id base of each block column (`id = block_base[j] + b`).
-    pub block_base: Vec<u32>,
-    /// `send_to[j][b]`: remote processors (owner excluded, deduplicated)
-    /// that need the completed block.
-    pub send_to: Vec<Vec<Vec<u32>>>,
+    /// Per flat block id: start of its recipients in `send_to` (len
+    /// `#blocks + 1`).
+    pub send_base: Vec<u32>,
+    /// Remote processors (owner excluded, deduplicated) that need each
+    /// completed block, concatenated in flat block id order.
+    pub send_to: Vec<u32>,
     /// Per processor: number of block messages it will receive.
     pub expected_recv: Vec<u64>,
     /// Per processor: number of blocks it owns (and must complete).
     pub owned_blocks: Vec<u64>,
-    /// Optional per-block scheduling priorities, flattened by `block_base`
-    /// (`priority[block_id(j, b)]`, larger = more urgent). Carried over from
-    /// [`Assignment::priority`]; the work-stealing scheduler derives
-    /// critical-path levels itself when absent.
+    /// Optional per-block scheduling priorities by flat block id (larger =
+    /// more urgent). Carried over from [`Assignment::priority`]; the
+    /// work-stealing scheduler derives critical-path levels itself when
+    /// absent.
     pub priority: Option<Vec<f64>>,
 }
 
 impl Plan {
     /// Builds the plan for a block matrix under an assignment.
     pub fn build(bm: &BlockMatrix, asg: &Assignment) -> Self {
-        let np = bm.num_panels();
+        let upd = bm.updates();
         let p = asg.grid.p();
         let owner = asg.owner.clone();
-        let mut block_base = Vec::with_capacity(np + 1);
-        let mut acc = 0u32;
-        for j in 0..np {
-            block_base.push(acc);
-            acc += bm.cols[j].blocks.len() as u32;
-        }
-        block_base.push(acc);
-        let mut pending: Vec<Vec<u32>> =
-            (0..np).map(|j| vec![0u32; bm.cols[j].blocks.len()]).collect();
-        for_each_bmod(bm, |op| {
-            let di = bm
-                .find_block(op.i as usize, op.j as usize)
-                .expect("BMOD destination exists");
-            pending[op.j as usize][di] += 1;
-        });
-
-        let mut send_to: Vec<Vec<Vec<u32>>> =
-            (0..np).map(|j| vec![Vec::new(); bm.cols[j].blocks.len()]).collect();
+        let mut send_base = Vec::with_capacity(bm.num_blocks() + 1);
+        let mut send_to = Vec::new();
+        let mut expected_recv = vec![0u64; p];
+        let mut owned_blocks = vec![0u64; p];
         let mut stamp = vec![u32::MAX; p];
         let mut ctr = 0u32;
-        for k in 0..np {
+        // Recipients of one block: the distinct owners of `dests` other than
+        // the block's own.
+        let mut send = |me: u32, dests: &mut dyn Iterator<Item = u32>| {
+            ctr += 1;
+            stamp[me as usize] = ctr;
+            send_base.push(send_to.len() as u32);
+            owned_blocks[me as usize] += 1;
+            for q in dests {
+                if stamp[q as usize] != ctr {
+                    stamp[q as usize] = ctr;
+                    send_to.push(q);
+                    expected_recv[q as usize] += 1;
+                }
+            }
+        };
+        for k in 0..bm.num_panels() {
             let blocks = &bm.cols[k].blocks;
             let m = blocks.len();
             // Diagonal block → owners of the column's off-diagonal blocks.
-            {
-                ctr += 1;
-                stamp[owner[k][0] as usize] = ctr;
-                for &q in &owner[k][1..m] {
-                    if stamp[q as usize] != ctr {
-                        stamp[q as usize] = ctr;
-                        send_to[k][0].push(q);
-                    }
-                }
-            }
-            // Off-diagonal blocks → owners of their BMOD destinations.
+            send(owner[k][0], &mut owner[k][1..m].iter().copied());
+            // Off-diagonal block `a` → owners of the destinations of every
+            // update it sources: pairs `(a, b ≤ a)` and `(a' ≥ a, a)`.
             for a in 1..m {
-                ctr += 1;
-                stamp[owner[k][a] as usize] = ctr;
-                let i_a = blocks[a].row_panel as usize;
-                for blk_b in blocks[1..=a].iter().chain(blocks[a..].iter()) {
-                    let i_b = blk_b.row_panel as usize;
-                    let (di, dj) = (i_a.max(i_b), i_a.min(i_b));
-                    let db = bm.find_block(di, dj).expect("destination exists");
-                    let q = owner[dj][db];
-                    if stamp[q as usize] != ctr {
-                        stamp[q as usize] = ctr;
-                        send_to[k][a].push(q);
-                    }
-                }
+                let dest =
+                    |(x, y): (usize, usize)| owner[blocks[y].row_panel as usize][upd.dest(k, x, y)];
+                let pairs = (1..=a).map(|b| (a, b)).chain((a..m).map(|x| (x, a)));
+                send(owner[k][a], &mut pairs.map(dest));
             }
         }
-
-        let mut expected_recv = vec![0u64; p];
-        let mut owned_blocks = vec![0u64; p];
-        for j in 0..np {
-            for (b, list) in send_to[j].iter().enumerate() {
-                for &q in list {
-                    expected_recv[q as usize] += 1;
-                }
-                owned_blocks[owner[j][b] as usize] += 1;
-            }
-        }
-        let priority = asg.priority.as_ref().map(|pri| {
-            let mut flat = Vec::with_capacity(*block_base.last().unwrap() as usize);
-            for col in pri {
-                flat.extend_from_slice(col);
-            }
-            flat
-        });
+        send_base.push(send_to.len() as u32);
+        let priority = asg.priority.as_ref().map(|pri| pri.concat());
         Self {
             owner,
             p,
@@ -120,8 +88,7 @@ impl Plan {
             map_i: asg.cp.map_i.clone(),
             map_j: asg.cp.map_j.clone(),
             eligible: asg.eligible.clone(),
-            pending,
-            block_base,
+            send_base,
             send_to,
             expected_recv,
             owned_blocks,
@@ -129,24 +96,10 @@ impl Plan {
         }
     }
 
-    /// Total number of blocks.
+    /// Remote processors that need completed block `id` (flat id).
     #[inline]
-    pub fn num_blocks(&self) -> usize {
-        *self.block_base.last().unwrap() as usize
-    }
-
-    /// Flat id of block `b` of column `j`.
-    #[inline]
-    pub fn block_id(&self, j: u32, b: u32) -> usize {
-        (self.block_base[j as usize] + b) as usize
-    }
-
-    /// Owner of the destination block of a `BMOD` with row panel `i`,
-    /// column panel `j`.
-    #[inline]
-    pub fn dest_owner(&self, bm: &BlockMatrix, i: usize, j: usize) -> (u32, usize) {
-        let db = bm.find_block(i, j).expect("destination exists");
-        (self.owner[j][db], db)
+    pub fn recipients(&self, id: usize) -> &[u32] {
+        &self.send_to[self.send_base[id] as usize..self.send_base[id + 1] as usize]
     }
 
     /// Byte size of a block message (stored elements × 8 plus a small
@@ -181,14 +134,13 @@ mod tests {
 
     #[test]
     fn pending_counts_match_bmod_enumeration() {
-        let (bm, asg) = setup(8, 4);
-        let plan = Plan::build(&bm, &asg);
-        let mut total = 0u64;
-        for col in &plan.pending {
-            total += col.iter().map(|&x| x as u64).sum::<u64>();
-        }
-        let mut expect = 0u64;
-        for_each_bmod(&bm, |_| expect += 1);
+        // The protocol's per-block pending counts are the update graph's
+        // per-destination source counts: together they cover every BMOD.
+        let (bm, _) = setup(8, 4);
+        let upd = bm.updates();
+        let total: usize = (0..bm.num_blocks()).map(|id| upd.sources(id).len()).sum();
+        let mut expect = 0usize;
+        blockmat::for_each_bmod(&bm, |_| expect += 1);
         assert_eq!(total, expect);
     }
 
@@ -197,9 +149,9 @@ mod tests {
         let (bm, asg) = setup(8, 4);
         let plan = Plan::build(&bm, &asg);
         for j in 0..bm.num_panels() {
-            for (b, list) in plan.send_to[j].iter().enumerate() {
+            for b in 0..bm.cols[j].blocks.len() {
                 let mut seen = HashSet::new();
-                for &q in list {
+                for &q in plan.recipients(bm.updates().block_id(j, b)) {
                     assert_ne!(q, plan.owner[j][b], "sent to self");
                     assert!(seen.insert(q), "duplicate recipient");
                 }
@@ -211,12 +163,7 @@ mod tests {
     fn expected_recv_sums_to_total_sends() {
         let (bm, asg) = setup(10, 4);
         let plan = Plan::build(&bm, &asg);
-        let sends: u64 = plan
-            .send_to
-            .iter()
-            .flat_map(|c| c.iter().map(|l| l.len() as u64))
-            .sum();
-        assert_eq!(plan.expected_recv.iter().sum::<u64>(), sends);
+        assert_eq!(plan.expected_recv.iter().sum::<u64>(), plan.send_to.len() as u64);
         assert_eq!(
             plan.owned_blocks.iter().sum::<u64>(),
             bm.num_blocks() as u64
@@ -230,12 +177,7 @@ mod tests {
         let (bm, asg) = setup(10, 4);
         let plan = Plan::build(&bm, &asg);
         let stats = balance::comm_volume(&bm, &asg);
-        let msgs: u64 = plan
-            .send_to
-            .iter()
-            .flat_map(|c| c.iter().map(|l| l.len() as u64))
-            .sum();
-        assert_eq!(msgs, stats.messages);
+        assert_eq!(plan.send_to.len() as u64, stats.messages);
     }
 
     #[test]
@@ -243,6 +185,7 @@ mod tests {
         let (bm, asg) = setup(6, 1);
         let plan = Plan::build(&bm, &asg);
         assert_eq!(plan.expected_recv[0], 0);
-        assert!(plan.send_to.iter().all(|c| c.iter().all(|l| l.is_empty())));
+        assert!(plan.send_to.is_empty());
+        assert_eq!(plan.send_base.len(), bm.num_blocks() + 1);
     }
 }

@@ -33,7 +33,7 @@ pub enum Action {
     /// Complete an owned block: `b == 0` means `BFAC` the diagonal block;
     /// `b > 0` means `BDIV` the off-diagonal block against the (available)
     /// factored diagonal of its column. Afterwards the executor must ship
-    /// the block to `plan.send_to[j][b]`.
+    /// the block to its [`Plan::recipients`].
     Complete { j: u32, b: u32 },
 }
 
@@ -65,11 +65,13 @@ impl ProtocolState {
     /// Initializes the state for processor `me`.
     pub fn new(plan: &Plan, bm: &BlockMatrix, me: u32) -> Self {
         let np = bm.num_panels();
-        let mut pending = vec![0u32; plan.num_blocks()];
-        for j in 0..np {
-            for b in 0..bm.cols[j].blocks.len() {
-                if plan.owner[j][b] == me {
-                    pending[plan.block_id(j as u32, b as u32)] = plan.pending[j][b];
+        let upd = bm.updates();
+        let mut pending = vec![0u32; bm.num_blocks()];
+        for (j, owners) in plan.owner.iter().enumerate() {
+            for (b, &q) in owners.iter().enumerate() {
+                if q == me {
+                    let id = upd.block_id(j, b);
+                    pending[id] = upd.sources(id).len() as u32;
                 }
             }
         }
@@ -97,9 +99,7 @@ impl ProtocolState {
         let mut worklist = Vec::new();
         for j in 0..bm.num_panels() {
             for b in 0..bm.cols[j].blocks.len() {
-                if plan.owner[j][b] == self.me
-                    && self.pending[plan.block_id(j as u32, b as u32)] == 0
-                {
+                if plan.owner[j][b] == self.me && self.pending[bm.updates().block_id(j, b)] == 0 {
                     self.mods_done(j as u32, b as u32, actions, &mut worklist);
                 }
             }
@@ -146,32 +146,27 @@ impl ProtocolState {
         }
     }
 
-    /// Emits the `BMOD` for pair `(hi, lo)` of column `k` and follows the
-    /// destination's completion cascade.
-    #[allow(clippy::too_many_arguments)]
+    /// Emits the `BMOD` sourced by blocks `a ≥ b` of column `k` if this
+    /// processor owns its destination, and follows the destination's
+    /// completion cascade.
     fn emit_pair(
         &mut self,
         plan: &Plan,
         bm: &BlockMatrix,
-        k: u32,
-        hi: u32,
-        lo: u32,
-        di: usize,
-        dj: usize,
+        (k, a, b): (u32, u32, u32),
         actions: &mut Vec<Action>,
         worklist: &mut Vec<(u32, u32)>,
     ) {
-        let Some(db) = bm.find_block(di, dj) else {
-            unreachable!("BMOD destination must exist")
-        };
-        if plan.owner[dj][db] != self.me {
+        let dj = bm.cols[k as usize].blocks[b as usize].row_panel;
+        let db = bm.updates().dest(k as usize, a as usize, b as usize);
+        if plan.owner[dj as usize][db] != self.me {
             return;
         }
-        actions.push(Action::Bmod { k, a: hi, b: lo, dest_j: dj as u32, dest_b: db as u32 });
-        let id = plan.block_id(dj as u32, db as u32);
+        actions.push(Action::Bmod { k, a, b, dest_j: dj, dest_b: db as u32 });
+        let id = bm.updates().block_id(dj as usize, db);
         self.pending[id] -= 1;
         if self.pending[id] == 0 {
-            self.mods_done(dj as u32, db as u32, actions, worklist);
+            self.mods_done(dj, db as u32, actions, worklist);
         }
     }
 
@@ -215,7 +210,7 @@ impl ProtocolState {
                 plan.owner[x as usize][0]
             };
             if owner == self.me {
-                self.emit_pair(plan, bm, k, b, b, x as usize, x as usize, actions, worklist);
+                self.emit_pair(plan, bm, (k, b, b), actions, worklist);
             }
         }
         if q_col {
@@ -224,12 +219,7 @@ impl ProtocolState {
             for &a in &partners {
                 let y = bm.cols[k as usize].blocks[a as usize].row_panel;
                 if y > x {
-                    self.emit_pair(
-                        plan, bm, k,
-                        a.max(b), a.min(b),
-                        y as usize, x as usize,
-                        actions, worklist,
-                    );
+                    self.emit_pair(plan, bm, (k, a.max(b), a.min(b)), actions, worklist);
                 }
             }
             self.row_side[k as usize] = partners;
@@ -240,12 +230,7 @@ impl ProtocolState {
             for &a in &partners {
                 let y = bm.cols[k as usize].blocks[a as usize].row_panel;
                 if y < x {
-                    self.emit_pair(
-                        plan, bm, k,
-                        a.max(b), a.min(b),
-                        x as usize, y as usize,
-                        actions, worklist,
-                    );
+                    self.emit_pair(plan, bm, (k, a.max(b), a.min(b)), actions, worklist);
                 }
             }
             self.col_side[k as usize] = partners;
@@ -328,9 +313,8 @@ mod tests {
             on_actions(q, actions);
             for act in actions {
                 if let Action::Complete { j, b } = *act {
-                    net.extend(
-                        plan.send_to[j as usize][b as usize].iter().map(|&d| (d as usize, j, b)),
-                    );
+                    let id = bm.updates().block_id(j as usize, b as usize);
+                    net.extend(plan.recipients(id).iter().map(|&d| (d as usize, j, b)));
                 }
             }
         };

@@ -17,16 +17,20 @@
 //! * **Chase–Lev deques with stealing.** Each worker owns a
 //!   [`crossbeam::deque`] and pops LIFO; idle workers steal FIFO from
 //!   victims, so the oldest (lowest-priority) tasks migrate first.
-//! * **Dependency counts, flat ids.** All bookkeeping is indexed by the
-//!   plan's flat block ids (`plan.block_base`) — no hash map is touched on
-//!   the hot path. A destination block carries a cursor over its incoming
-//!   `BMOD` list (sorted by source column); a block column carries a count
-//!   of blocks still awaiting updates; a column whose count hits zero
-//!   becomes a completion task (`BFAC` + one whole-column `TRSM`).
+//! * **Dependency counts, flat ids.** The task graph is the block matrix's
+//!   update graph ([`blockmat::Updates`]), built once with the block
+//!   matrix: a run allocates only its priorities and run state, indexed by
+//!   flat block ids — no hash map is touched on the hot path. A
+//!   destination block carries a cursor over its incoming `BMOD` list
+//!   (sorted by source column); a block column carries a count of blocks
+//!   still awaiting updates; a column whose count hits zero becomes a
+//!   completion task (`BFAC` + one whole-column `TRSM`).
 //! * **Critical-path priorities.** Ready tasks are pushed in ascending
 //!   [`crate::critpath::block_levels`] order, so the LIFO pop serves the
 //!   task with the longest remaining dependency chain first
-//!   (overridable through [`Plan::priority`], disablable per run).
+//!   (overridable through [`Plan::priority`], disablable per run). The
+//!   levels are recomputed from the update graph on every call that has no
+//!   plan priorities.
 //! * **Zero-copy publication.** Completed blocks are never snapshotted:
 //!   completion is a release-store into a per-column done bitmap, and
 //!   consumers read the factor storage in place after an acquire-load.
@@ -213,7 +217,7 @@ pub fn factorize_sched_opts(
     opts: &SchedOptions,
 ) -> Result<SchedStats, Error> {
     let bm = f.bm.clone();
-    let schedule = Schedule::build(&bm, plan, opts.use_priorities);
+    let upd = bm.updates();
     let workers = opts
         .workers
         .unwrap_or_else(|| {
@@ -222,26 +226,34 @@ pub fn factorize_sched_opts(
         .max(1);
 
     let np = bm.num_panels();
-    let nb = plan.num_blocks();
+    let nb = bm.num_blocks();
     // One event per task: a completion per column, and at most one
     // block-advance task per update. A ring that holds them all overflows
     // only if steal/idle events push it over.
-    let task_events = np + schedule.upd_k.len();
+    let task_events = np + upd.num_updates();
     let tracebuf = TraceBuf::new(
         workers,
         &TraceOpts { ring_capacity: opts.trace.ring_capacity.max(task_events), ..opts.trace },
     );
+    // Per column: blocks that await at least one update.
+    let unfinished: Vec<u32> = (0..np)
+        .map(|j| {
+            let ids = upd.block_id(j, 0)..upd.block_id(j + 1, 0);
+            ids.filter(|&id| !upd.sources(id).is_empty()).count() as u32
+        })
+        .collect();
+    let (prio_block, prio_col) = priorities(&bm, plan, opts.use_priorities);
     let shared = Shared {
         bm: &bm,
-        plan,
-        sched: &schedule,
+        prio_block,
+        prio_col,
         epoch: Instant::now(),
         tracebuf: tracebuf.as_ref(),
         offsets: &f.offsets,
         cols: f.data.iter_mut().map(|v| ColPtr { ptr: v.as_mut_ptr(), len: v.len() }).collect(),
         state: (0..nb).map(|_| AtomicU8::new(IDLE)).collect(),
-        cursor: (0..nb).map(|id| AtomicU32::new(schedule.upd_base[id])).collect(),
-        col_unfinished: schedule.init_unfinished.iter().map(|&u| AtomicU32::new(u)).collect(),
+        cursor: (0..nb).map(|_| AtomicU32::new(0)).collect(),
+        col_unfinished: unfinished.iter().map(|&u| AtomicU32::new(u)).collect(),
         col_done: (0..np).map(|_| AtomicBool::new(false)).collect(),
         cols_remaining: AtomicUsize::new(np),
         queued: AtomicUsize::new(0),
@@ -275,10 +287,10 @@ pub fn factorize_sched_opts(
     // each on the deque of the worker its plan owner maps to, least urgent
     // first so the LIFO pop serves the critical path.
     let mut seeds: Vec<Vec<(f64, u64)>> = vec![Vec::new(); workers];
-    for j in 0..np {
-        if schedule.init_unfinished[j] == 0 {
+    for (j, &u) in unfinished.iter().enumerate() {
+        if u == 0 {
             let w = plan.owner[j][0] as usize % workers;
-            seeds[w].push((schedule.prio_col[j], COL_TAG | j as u64));
+            seeds[w].push((shared.prio_col[j], COL_TAG | j as u64));
         }
     }
     let mut seeded = 0usize;
@@ -482,7 +494,7 @@ const COL_TAG: u64 = 1 << 63;
 /// its own id; a column-completion task maps to the column's diagonal block.
 fn task_block(s: &Shared, t: u64) -> usize {
     if t & COL_TAG != 0 {
-        s.plan.block_base[(t & !COL_TAG) as usize] as usize
+        s.bm.updates().block_id((t & !COL_TAG) as usize, 0)
     } else {
         t as usize
     }
@@ -496,104 +508,20 @@ const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const DIRTY: u8 = 3;
 
-/// The static task graph: per-destination update lists (sorted by source
-/// column — the sequential summation order) and per-column notification
-/// fan-out, all over flat block ids.
-struct Schedule {
-    /// Per block id: range into `upd_*` (len `num_blocks + 1`).
-    upd_base: Vec<u32>,
-    /// Source column of each update.
-    upd_k: Vec<u32>,
-    /// Source block indices (`a ≥ b` within column `k`).
-    upd_a: Vec<u32>,
-    upd_b: Vec<u32>,
-    /// Per column: range into `out_dest` (len `num_panels + 1`).
-    out_base: Vec<u32>,
-    /// Destination block ids to notify when a column completes.
-    out_dest: Vec<u32>,
-    /// Per block id: owning column.
-    col_of_block: Vec<u32>,
-    /// Per column: blocks with at least one incoming update.
-    init_unfinished: Vec<u32>,
-    /// Per block id / column: critical-path priority (larger = more urgent).
-    prio_block: Vec<f64>,
-    prio_col: Vec<f64>,
-}
-
-impl Schedule {
-    fn build(bm: &BlockMatrix, plan: &Plan, use_priorities: bool) -> Self {
-        let np = bm.num_panels();
-        let nb = plan.num_blocks();
-        let mut col_of_block = vec![0u32; nb];
-        for j in 0..np {
-            for b in 0..bm.cols[j].blocks.len() {
-                col_of_block[plan.block_id(j as u32, b as u32)] = j as u32;
-            }
-        }
-        // Gather updates per destination. Iterating source columns in
-        // ascending order makes each destination's list sorted by `k` —
-        // exactly the order `factorize_seq` applies them.
-        let mut per_dest: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); nb];
-        let mut out_base = Vec::with_capacity(np + 1);
-        let mut out_dest = Vec::new();
-        for k in 0..np {
-            out_base.push(out_dest.len() as u32);
-            let blocks = &bm.cols[k].blocks;
-            for b in 1..blocks.len() {
-                for a in b..blocks.len() {
-                    let (i, j) = (blocks[a].row_panel as usize, blocks[b].row_panel as usize);
-                    let db = bm.find_block(i, j).expect("BMOD destination exists");
-                    let dest = plan.block_id(j as u32, db as u32) as u32;
-                    per_dest[dest as usize].push((k as u32, a as u32, b as u32));
-                    out_dest.push(dest);
-                }
-            }
-        }
-        out_base.push(out_dest.len() as u32);
-        let mut upd_base = Vec::with_capacity(nb + 1);
-        let total: usize = per_dest.iter().map(|v| v.len()).sum();
-        let (mut upd_k, mut upd_a, mut upd_b) =
-            (Vec::with_capacity(total), Vec::with_capacity(total), Vec::with_capacity(total));
-        let mut init_unfinished = vec![0u32; np];
-        for (id, list) in per_dest.iter().enumerate() {
-            upd_base.push(upd_k.len() as u32);
-            if !list.is_empty() {
-                init_unfinished[col_of_block[id] as usize] += 1;
-            }
-            for &(k, a, b) in list {
-                upd_k.push(k);
-                upd_a.push(a);
-                upd_b.push(b);
-            }
-        }
-        upd_base.push(upd_k.len() as u32);
-
-        let (prio_block, prio_col) = if use_priorities {
-            let flat: Vec<f64> = match &plan.priority {
-                Some(p) => p.clone(),
-                None => {
-                    let levels = block_levels(bm, &MachineModel::paragon());
-                    levels.into_iter().flatten().collect()
-                }
-            };
-            let pc = (0..np).map(|j| flat[plan.block_id(j as u32, 0)]).collect();
-            (flat, pc)
-        } else {
-            (vec![0.0; nb], vec![0.0; np])
-        };
-        Self {
-            upd_base,
-            upd_k,
-            upd_a,
-            upd_b,
-            out_base,
-            out_dest,
-            col_of_block,
-            init_unfinished,
-            prio_block,
-            prio_col,
-        }
+/// Per block id and per column: critical-path priority (larger = more
+/// urgent) — the plan's own when it carries them, else
+/// [`block_levels`](crate::critpath::block_levels); all zero without
+/// priorities.
+fn priorities(bm: &BlockMatrix, plan: &Plan, use_priorities: bool) -> (Vec<f64>, Vec<f64>) {
+    if !use_priorities {
+        return (vec![0.0; bm.num_blocks()], vec![0.0; bm.num_panels()]);
     }
+    let flat: Vec<f64> = match &plan.priority {
+        Some(p) => p.clone(),
+        None => block_levels(bm, &MachineModel::paragon()).concat(),
+    };
+    let pc = (0..bm.num_panels()).map(|j| flat[bm.updates().block_id(j, 0)]).collect();
+    (flat, pc)
 }
 
 struct ColPtr {
@@ -606,9 +534,11 @@ struct ColPtr {
 /// Holds raw pointers into the factor's column buffers; see the safety
 /// argument on [`Shared::block_mut`].
 struct Shared<'a> {
+    /// The block structure; its update graph is the task graph.
     bm: &'a BlockMatrix,
-    plan: &'a Plan,
-    sched: &'a Schedule,
+    /// Per block id / column: priority (larger = more urgent).
+    prio_block: Vec<f64>,
+    prio_col: Vec<f64>,
     /// Time origin for trace timestamps and the task span (`elapsed_s`).
     epoch: Instant,
     /// Event rings, when tracing is enabled for this run.
@@ -617,8 +547,8 @@ struct Shared<'a> {
     cols: Vec<ColPtr>,
     /// Per block: claim state (IDLE/QUEUED/RUNNING/DIRTY).
     state: Vec<AtomicU8>,
-    /// Per block: absolute index of the next update in `sched.upd_*`.
-    /// Written only by the claiming worker.
+    /// Per block: position of the next update in its source list
+    /// ([`blockmat::Updates::sources`]). Written only by the claiming worker.
     cursor: Vec<AtomicU32>,
     /// Per column: blocks still awaiting updates.
     col_unfinished: Vec<AtomicU32>,
@@ -1035,7 +965,7 @@ impl WorkerCtx<'_> {
                         .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        self.enqueue(self.shared.sched.prio_block[id], id as u64);
+                        self.enqueue(self.shared.prio_block[id], id as u64);
                         return;
                     }
                 }
@@ -1081,23 +1011,23 @@ impl WorkerCtx<'_> {
     /// ascending source-column order. Returns true if the cursor moved.
     fn advance(&mut self, id: usize) -> bool {
         let s = self.shared;
-        let sc = s.sched;
-        let hi = sc.upd_base[id + 1] as usize;
+        let srcs = s.bm.updates().sources(id);
         let start = s.cursor[id].load(Ordering::Relaxed) as usize;
-        if start >= hi {
+        if start >= srcs.len() {
             return false;
         }
-        let j = sc.col_of_block[id] as usize;
-        let b = id - s.plan.block_base[j] as usize;
+        // The block's column is the row panel of any update's `b` source.
+        let (k0, _, b0) = srcs[0];
+        let j = s.bm.cols[k0 as usize].blocks[b0 as usize].row_panel as usize;
+        let b = id - s.bm.updates().block_id(j, 0);
         // SAFETY: we hold this block's RUNNING claim.
         let dest = unsafe { s.block_mut(j, b) };
         let mut cur = start;
-        while cur < hi {
-            let k = sc.upd_k[cur] as usize;
+        for &(k, a, bb) in &srcs[start..] {
+            let (k, a, bb) = (k as usize, a as usize, bb as usize);
             if !s.col_done[k].load(Ordering::Acquire) {
                 break;
             }
-            let (a, bb) = (sc.upd_a[cur] as usize, sc.upd_b[cur] as usize);
             let blocks = &s.bm.cols[k].blocks;
             let (blk_a, blk_b) = (blocks[a], blocks[bb]);
             // SAFETY: column k is published — read-only from here on.
@@ -1123,11 +1053,11 @@ impl WorkerCtx<'_> {
             self.stats.bmods += 1;
         }
         s.cursor[id].store(cur as u32, Ordering::Relaxed);
-        if cur == hi {
+        if cur == srcs.len() {
             // Final update applied exactly once (the cursor only moves under
             // the claim): retire the block from its column's count.
             if s.col_unfinished[j].fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.enqueue(sc.prio_col[j], COL_TAG | j as u64);
+                self.enqueue(s.prio_col[j], COL_TAG | j as u64);
             }
         }
         cur > start
@@ -1163,10 +1093,8 @@ impl WorkerCtx<'_> {
         }
         s.col_done[j].store(true, Ordering::Release);
         self.stats.cols += 1;
-        let sc = s.sched;
-        let (lo, hi) = (sc.out_base[j] as usize, sc.out_base[j + 1] as usize);
-        for i in lo..hi {
-            self.notify_block(sc.out_dest[i] as usize);
+        for op in s.bm.bmods_of(j) {
+            self.notify_block(s.bm.updates().block_id(op.j as usize, op.dest_b as usize));
         }
         if s.cols_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             s.done.store(true, Ordering::Release);

@@ -120,23 +120,16 @@ pub fn factorize_seq_opts(
         let blocks = &bm.cols[k].blocks;
         let c_k = bm.col_width(k);
         let (pack, scratch) = arena.panels_and_scratch();
+        let mut dests = bm.updates().dests_of(k).iter();
         let mut off_b = 0;
         for b in 1..blocks.len() {
             let dest_j = blocks[b].row_panel as usize;
-            let dest_blocks = &bm.cols[dest_j].blocks;
             let dest_buf_all = &mut tail[dest_j - k - 1];
             let bp = &pack[off_b..off_b + packed_len(blocks[b].nrows(), c_k)];
             let b_rows = bm.block_rows(k, &blocks[b]);
-            // `blocks[a].row_panel` ascends with `a` and so do the
-            // destination column's blocks: one cursor finds them all.
-            let mut di = 0;
             let mut off_a = off_b;
-            for blk_a in &blocks[b..] {
-                let dest_i = blk_a.row_panel as usize;
-                di += dest_blocks[di..]
-                    .iter()
-                    .position(|d| d.row_panel as usize == dest_i)
-                    .expect("BMOD destination exists");
+            for (blk_a, &di) in blocks[b..].iter().zip(dests.by_ref()) {
+                let (dest_i, di) = (blk_a.row_panel as usize, di as usize);
                 let ap = &pack[off_a..off_a + packed_len(blk_a.nrows(), c_k)];
                 off_a += ap.len();
                 let lo = offsets[dest_j][di];
@@ -582,17 +575,16 @@ mod tests {
         let bm = f.bm.clone();
         let mut arena = KernelArena::new();
         for k in 0..bm.num_panels() {
-            let blocks = &bm.cols[k].blocks;
-            let nb = blocks.len() as u32;
+            let nb = bm.cols[k].blocks.len() as u32;
             let k = k as u32;
             let mut acts: Vec<Action> = (0..nb).map(|b| Action::Complete { j: k, b }).collect();
-            for b in 1..nb {
-                for a in b..nb {
-                    let (i, j) = (blocks[a as usize].row_panel, blocks[b as usize].row_panel);
-                    let dest_b = bm.find_block(i as usize, j as usize).expect("BMOD destination");
-                    acts.push(Action::Bmod { k, a, b, dest_j: j, dest_b: dest_b as u32 });
-                }
-            }
+            acts.extend(bm.bmods_of(k as usize).map(|op| Action::Bmod {
+                k,
+                a: op.src_a,
+                b: op.src_b,
+                dest_j: op.j,
+                dest_b: op.dest_b,
+            }));
             for act in acts {
                 perform(f, &mut arena, act, perturb_npd).expect("pivots succeed or are rescued");
             }

@@ -26,7 +26,7 @@ pub struct SimOutcome {
     /// Parallel efficiency `tseq / (P · tparallel)`.
     pub efficiency: f64,
     /// Per-processor virtual-time event timeline (only from
-    /// [`simulate_traced`]; block ids are flat plan block ids, `Recv`
+    /// [`simulate_traced`]; block ids are flat block ids, `Recv`
     /// events are instantaneous markers at message-processing time).
     pub trace: Option<Trace>,
 }
@@ -96,7 +96,8 @@ impl FanoutAgent {
                     let t0 = self.vnow(ctx);
                     ctx.compute(self.model.op_time(fl, c_k));
                     let t1 = self.vnow(ctx);
-                    self.stamp(TaskKind::Bmod, self.plan.block_id(dest_j, dest_b) as u32, t0, t1);
+                    let id = self.bm.updates().block_id(dest_j as usize, dest_b as usize);
+                    self.stamp(TaskKind::Bmod, id as u32, t0, t1);
                 }
                 Action::Complete { j, b } => {
                     let c = self.bm.col_width(j as usize);
@@ -109,8 +110,9 @@ impl FanoutAgent {
                     ctx.compute(self.model.op_time(fl, c));
                     let t1 = self.vnow(ctx);
                     let kind = if b == 0 { TaskKind::Bfac } else { TaskKind::Bdiv };
-                    self.stamp(kind, self.plan.block_id(j, b) as u32, t0, t1);
-                    for &dest in &self.plan.send_to[j as usize][b as usize] {
+                    let id = self.bm.updates().block_id(j as usize, b as usize);
+                    self.stamp(kind, id as u32, t0, t1);
+                    for &dest in self.plan.recipients(id) {
                         let bytes = self.plan.block_bytes(&self.bm, j as usize, b as usize);
                         ctx.send(dest as usize, bytes, (j, b));
                     }
@@ -133,7 +135,8 @@ impl Agent for FanoutAgent {
 
     fn on_message(&mut self, ctx: &mut Ctx<(u32, u32)>, _from: usize, (j, b): (u32, u32)) {
         let t = self.vnow(ctx);
-        self.stamp(TaskKind::Recv, self.plan.block_id(j, b) as u32, t, t);
+        let id = self.bm.updates().block_id(j as usize, b as usize);
+        self.stamp(TaskKind::Recv, id as u32, t, t);
         let mut actions = std::mem::take(&mut self.actions);
         self.state.on_receive(&self.plan, &self.bm, j, b, &mut actions);
         self.actions = actions;
@@ -172,26 +175,15 @@ pub fn block_ranks(bm: &BlockMatrix, model: &MachineModel) -> Vec<Vec<f64>> {
     };
     for k in (0..np).rev() {
         let c = bm.col_width(k);
-        let blocks = &bm.cols[k].blocks;
-        let m = blocks.len();
+        let m = bm.cols[k].blocks.len();
         // BMOD tails: both sources of each update inherit the destination's
         // remaining path.
-        for b in 1..m {
-            for a in b..m {
-                let (i, j) = (blocks[a].row_panel as usize, blocks[b].row_panel as usize);
-                let (di, dj) = (i.max(j), i.min(j));
-                let db = bm.find_block(di, dj).expect("destination exists");
-                let fl = if a == b {
-                    flops::bmod_diag(blocks[a].nrows(), c)
-                } else {
-                    flops::bmod(blocks[a].nrows(), blocks[b].nrows(), c)
-                };
-                let tail = model.op_time(fl, c) + t_complete(dj, db) + rank[dj][db];
-                if tail > rank[k][a] {
-                    rank[k][a] = tail;
-                }
-                if tail > rank[k][b] {
-                    rank[k][b] = tail;
+        for op in bm.bmods_of(k) {
+            let (dj, db) = (op.j as usize, op.dest_b as usize);
+            let tail = model.op_time(op.flops(), c) + t_complete(dj, db) + rank[dj][db];
+            for s in [op.src_a as usize, op.src_b as usize] {
+                if tail > rank[k][s] {
+                    rank[k][s] = tail;
                 }
             }
         }
@@ -245,7 +237,7 @@ pub fn simulate_with_policy(
 /// Every `BFAC`/`BDIV`/`BMOD` is recorded as an interval in *simulated*
 /// seconds (so the trace lines up with `report.makespan_s`), plus an
 /// instantaneous [`TaskKind::Recv`] marker when a block message is
-/// processed. Block ids are the flat plan ids ([`Plan::block_id`]); the
+/// processed. Block ids are the flat ids of [`blockmat::Updates::block_id`]; the
 /// ring capacity of `trace_opts` is ignored (the simulator's log is
 /// unbounded — single-threaded, no overwrite needed).
 pub fn simulate_traced(
@@ -387,8 +379,7 @@ mod tests {
         assert_eq!(ranks[last][0], 0.0);
         // Every source block's rank is at least its destinations' ranks.
         blockmat::for_each_bmod(&bm, |op| {
-            let db = bm.find_block(op.i as usize, op.j as usize).unwrap();
-            let r_dest = ranks[op.j as usize][db];
+            let r_dest = ranks[op.j as usize][op.dest_b as usize];
             for src in [op.src_a, op.src_b] {
                 assert!(
                     ranks[op.k as usize][src as usize] > r_dest - 1e-12,

@@ -53,26 +53,17 @@ proptest! {
         );
         let plan = Plan::build(&bm, &asg);
         // CP bound on recipients.
-        for col in &plan.send_to {
-            for list in col {
-                prop_assert!(list.len() <= pr + pc);
-            }
+        for id in 0..bm.num_blocks() {
+            prop_assert!(plan.recipients(id).len() <= pr + pc);
         }
         // Receives balance sends.
-        let sends: u64 = plan
-            .send_to
-            .iter()
-            .flat_map(|c| c.iter().map(|l| l.len() as u64))
-            .sum();
-        prop_assert_eq!(plan.expected_recv.iter().sum::<u64>(), sends);
-        // Total pending equals BMOD count.
-        let mut bmods = 0u64;
+        prop_assert_eq!(plan.expected_recv.iter().sum::<u64>(), plan.send_to.len() as u64);
+        // The per-block pending counts (the update graph's source counts)
+        // total the BMOD count.
+        let mut bmods = 0usize;
         blockmat::for_each_bmod(&bm, |_| bmods += 1);
-        let pend: u64 = plan
-            .pending
-            .iter()
-            .flat_map(|c| c.iter().map(|&x| x as u64))
-            .sum();
+        let upd = bm.updates();
+        let pend: usize = (0..bm.num_blocks()).map(|id| upd.sources(id).len()).sum();
         prop_assert_eq!(pend, bmods);
     }
 

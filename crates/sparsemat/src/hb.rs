@@ -153,6 +153,7 @@ pub fn read_harwell_boeing<R: BufRead>(reader: R) -> Result<SymCscMatrix> {
     if nrow != ncol {
         return Err(parse_err(type_ln, format!("matrix is {nrow}x{ncol}, not square")));
     }
+    crate::io::check_dimension(ncol, type_ln)?;
 
     let fmt_line = rd.next_line()?;
     let fmt_ln = rd.line;
@@ -223,7 +224,8 @@ pub fn read_harwell_boeing<R: BufRead>(reader: R) -> Result<SymCscMatrix> {
         Ok(v)
     };
 
-    let mut coords = Vec::with_capacity(nnzero + ncol);
+    // Sized from the tokens actually read, never from the header's counts.
+    let mut coords = Vec::with_capacity(ind_tokens.len() + ptr_tokens.len());
     let mut e = 0usize;
     for j in 0..ncol {
         let lo = parse_usize(&ptr_tokens[j])?;

@@ -61,8 +61,12 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<SymCscMatrix> {
     if m != n {
         return Err(parse_err(size_ln, format!("matrix is {m}x{n}, not square")));
     }
+    check_dimension(n, size_ln)?;
 
-    let mut coords = Vec::with_capacity(nnz + n);
+    // Grown from the entries actually read: the header's count is a claim,
+    // and reserving it up front would let a three-line file abort the
+    // process on allocation.
+    let mut coords = Vec::new();
     for line in lines {
         let line = line.map_err(|e| parse_err(ln + 1, format!("read failed: {e}")))?;
         ln += 1;
@@ -109,6 +113,14 @@ pub fn write_matrix_market<W: Write>(a: &SymCscMatrix, mut w: W) -> Result<()> {
         Ok(())
     };
     emit(&mut w).map_err(|e| Error::Format(e.to_string()))
+}
+
+/// Rejects a dimension whose indices do not fit the `u32` index type.
+pub(crate) fn check_dimension(n: usize, line: usize) -> Result<()> {
+    if n > u32::MAX as usize {
+        return Err(parse_err(line, format!("dimension {n} exceeds the 32-bit index limit")));
+    }
+    Ok(())
 }
 
 fn parse<T: std::str::FromStr>(tok: Option<&str>, line: usize) -> Result<T> {

@@ -50,14 +50,13 @@ fn cp_mapping_bounds_block_recipients() {
         ColPolicy::Heuristic(Heuristic::IncreasingDepth),
     );
     let plan = block_fanout_cholesky::core::Plan::build(&solver.bm, &asg);
-    for col in &plan.send_to {
-        for list in col {
-            assert!(
-                list.len() <= grid.pr + grid.pc,
-                "block sent to {} > Pr + Pc processors",
-                list.len()
-            );
-        }
+    for id in 0..solver.bm.num_blocks() {
+        let list = plan.recipients(id);
+        assert!(
+            list.len() <= grid.pr + grid.pc,
+            "block sent to {} > Pr + Pc processors",
+            list.len()
+        );
     }
 }
 

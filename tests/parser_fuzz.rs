@@ -137,6 +137,26 @@ proptest! {
     }
 }
 
+/// Header claims the file does not back — an entry count whose reservation
+/// alone would abort the process, a dimension past the 32-bit index type —
+/// are errors, not allocations.
+#[test]
+fn oversized_header_claims_are_errors() {
+    for size in ["5 5 99999999999", "99999999999 99999999999 1"] {
+        let doc = format!("%%MatrixMarket matrix coordinate real symmetric\n{size}\n1 1 4.0\n");
+        let e = read_mm(doc.as_bytes()).expect_err(size);
+        assert_structured(&e, line_count(doc.as_bytes()), size);
+    }
+    // The Harwell–Boeing reader checks its dimension the same way.
+    let hb = String::from_utf8(sample_hb()).unwrap().replacen(
+        &format!("{:>14}{:>14}", 3, 3),
+        &format!("{:>14}{:>14}", 99999999999u64, 99999999999u64),
+        1,
+    );
+    let e = read_hb(hb.as_bytes()).expect_err("HB dimension past u32");
+    assert!(e.to_string().contains("32-bit index limit"), "{e}");
+}
+
 /// The HB fixture itself parses (so the fuzz above mutates live structure,
 /// not an already-dead document).
 #[test]
